@@ -37,7 +37,11 @@ from .diracmodel import (
     sample_wavefunction,
 )
 from .quantize import (
+    DEFAULT_NU_MAX,
+    DEFAULT_NU_MIN,
     SignBranch,
+    _first_scan_index,
+    _nu_floor,
     condition_residual,
     condition_residual_deriv_form,
     hermite_root_table,
@@ -154,8 +158,16 @@ def _cmd_spectrum(args):
     for idx, root in enumerate(roots, start=1):
         e = energy_from_nu(params, root.nu, EnergySign.POSITIVE, root.branch).energy
         rows.append((idx, root.nu, root.branch.value, e, -e, root.residual))
+    nu_floor = _nu_floor(params.alpha)
+    i_start = _first_scan_index(nu_floor, DEFAULT_NU_MIN, args.step)
     meta = {
-        "window": {"nu_min": -1.0 + 1e-9, "nu_max": 80.0, "step": args.step},
+        "window": {
+            "nu_min": DEFAULT_NU_MIN,
+            "nu_max": DEFAULT_NU_MAX,
+            "step": args.step,
+            "nu_floor": nu_floor,
+            "nu_start": DEFAULT_NU_MIN + i_start * args.step,
+        },
         "below_integer_window": [
             idx for idx, r in enumerate(roots, start=1) if r.below_integer_window
         ],

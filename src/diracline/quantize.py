@@ -21,6 +21,22 @@ Roots in nu are located by sign-change bracketing on a grid and refined by
 bisection with secant acceleration.  Residuals are kept in the entire
 (polynomial-like) form above: no normalization by D_nu(z0), hence no
 spurious poles to confuse the bracketing.
+
+No root lies below a floor that follows from squaring the Dirac equation.
+Each component then obeys -psi'' + [(m+g|x|)^2 -+ g sgn x] psi = E^2 psi,
+and for m >= 0
+
+    (m+g|x|)^2 >= m^2 + 2mg|x|,    -+g sgn x >= -g,
+    lowest eigenvalue of -d^2 + c|x| = |a'_1| c^(2/3)   (a'_1: first zero of Ai')
+
+so E^2 >= m^2 - g + |a'_1| (2mg)^(2/3).  With E^2 = 2g(nu+1) and
+alpha = m/sqrt(g) this reads
+
+    nu >= nu_floor(alpha) = alpha^2/2 - 3/2 + (|a'_1|/2) (2 alpha)^(2/3).
+
+``spectrum`` starts its grid scan just below that floor, on the same grid
+points it would visit from ``nu_min``, so its roots do not depend on the
+floor; once the floor passes the scan cap it fails without evaluating.
 """
 
 from __future__ import annotations
@@ -55,6 +71,8 @@ WINDOW_CAP = 199.0
 _RESIDUAL_STOP = 1e-13
 _MAX_REFINE_ITER = 200
 _DEDUP_TOL = 1e-9
+# |a'_1|, the first zero of Ai' (DLMF 9.9.1)
+_AIRY_PRIME_ZERO = 1.0187929716474710
 
 
 class SignBranch(enum.Enum):
@@ -146,6 +164,25 @@ class QuantizationRoot:
     def below_integer_window(self) -> bool:
         """True for nu < 0: a state outside the historical integer ladder."""
         return self.nu < -1e-9
+
+
+def _nu_floor(alpha: float) -> float:
+    """Lower bound on every root nu of the matching condition at ``alpha``.
+
+    From the squared Dirac equation (see the module docstring):
+    E^2 >= m^2 - g + |a'_1| (2mg)^(2/3) with E^2 = 2g(nu+1).
+    """
+    airy = 0.5 * _AIRY_PRIME_ZERO * (2.0 * alpha) ** (2.0 / 3.0)
+    return 0.5 * alpha * alpha - 1.5 + airy
+
+
+def _first_scan_index(nu_floor: float, nu_min: float, step: float) -> int:
+    """Index i of the grid point nu_min + i*step where the scan starts.
+
+    One grid step below the last point under the floor, so rounding in the
+    index cannot skip a bracket; never below the window start.
+    """
+    return max(0, math.floor((nu_floor - nu_min) / step) - 1)
 
 
 def _scan_function(f, lo: float, hi: float, step: float):
@@ -254,23 +291,36 @@ def spectrum(
     """Lowest ``n_levels`` roots merged from both branches, ascending in nu.
 
     The window is scanned lazily in chunks so that requesting a few levels
-    never evaluates the residual far above the highest root returned.  If
-    the window is exhausted it auto-extends up to nu=200 before raising
-    WindowExhausted.
+    never evaluates the residual far above the highest root returned.  The
+    scan starts one grid step below ``_nu_floor(alpha)`` (or at ``nu_min``
+    if that is higher), on the grid nu_min + i*step, so the roots are the
+    ones a scan from ``nu_min`` finds.  If the window is exhausted it
+    auto-extends up to nu=200 before raising WindowExhausted; when the
+    floor already lies above that cap it raises before any evaluation.
     """
     if n_levels < 1:
         raise DomainError(f"need n_levels >= 1, got {n_levels!r}")
     if not (nu_min > -1.0 and nu_max > nu_min):
         raise DomainError(f"bad window [{nu_min!r}, {nu_max!r}]")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise DomainError(f"need step > 0, got {step!r}")
+    _check_nu_alpha(nu_min, alpha)
+    nu_floor = _nu_floor(alpha)
+    scan_cap = max(nu_max, WINDOW_CAP)
+    if nu_floor > scan_cap:
+        raise WindowExhausted(
+            f"found 0 of {n_levels} roots with nu <= {scan_cap:g} at "
+            f"alpha={alpha:g}: every root lies above nu={nu_floor:g}"
+        )
     branches = (SignBranch.PLUS, SignBranch.MINUS)
     roots: list[QuantizationRoot] = []
     window_hi = nu_max
-    x_prev = nu_min
-    f_prev = {b: condition_residual(nu_min, alpha, b) for b in branches}
+    i = _first_scan_index(nu_floor, nu_min, step)
+    x_prev = nu_min + i * step
+    f_prev = {b: condition_residual(x_prev, alpha, b) for b in branches}
     for b in branches:
         if f_prev[b] == 0.0:
-            roots.append(QuantizationRoot(nu_min, b, 0.0, 0))
-    i = 0
+            roots.append(QuantizationRoot(x_prev, b, 0.0, 0))
     while True:
         i += 1
         x = nu_min + i * step

@@ -71,6 +71,27 @@ def test_spectrum_m_g_equivalent_to_alpha(capsys):
         assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
 
 
+def test_spectrum_metadata_reports_scan_start(capsys):
+    code, out, _ = run_cli(
+        ["spectrum", "--alpha", "3", "--levels", "2", "--format", "json",
+         "--deterministic"],
+        capsys,
+    )
+    assert code == 0
+    window = json.loads(out)["metadata"]["window"]
+    assert window["nu_floor"] == pytest.approx(4.68199013703, abs=1e-10)
+    # the scan starts on the grid, between one and two steps below the floor
+    steps = (window["nu_start"] - window["nu_min"]) / window["step"]
+    assert steps == pytest.approx(round(steps), abs=1e-6)
+    assert window["step"] <= window["nu_floor"] - window["nu_start"] < 2 * window["step"]
+
+
+def test_spectrum_above_window_cap_exits_2(capsys):
+    code, _, err = run_cli(["spectrum", "--alpha", "20", "--levels", "6"], capsys)
+    assert code == 2
+    assert "nu <= 199" in err
+
+
 def test_spectrum_usage_errors(capsys):
     assert run_cli(["spectrum", "--alpha", "1", "--levels", "0"], capsys)[0] == 1
     assert run_cli(["spectrum", "--alpha", "1", "--m", "1", "--g", "1"], capsys)[0] == 1

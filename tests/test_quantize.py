@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diracline import diracmodel as dm
+from diracline import oracle as oc
 from diracline import quantize as q
 from diracline.errors import DomainError, WindowExhausted
 
@@ -217,6 +219,84 @@ def test_spectrum_window_exhaustion():
 def test_spectrum_validation():
     with pytest.raises(DomainError):
         q.spectrum(ALPHA_STAR, 0)
+    with pytest.raises(DomainError):
+        q.spectrum(-1.0, 1)
+    with pytest.raises(DomainError):
+        q.spectrum(ALPHA_STAR, 1, step=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the lower bound nu_floor(alpha) where the spectrum scan starts
+
+def test_airy_prime_zero_constant():
+    mpmath = pytest.importorskip("mpmath")
+    ref = abs(float(mpmath.airyaizero(1, derivative=1)))
+    assert q._AIRY_PRIME_ZERO == pytest.approx(ref, rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.5 * k for k in range(11)])
+def test_nu_floor_below_shooting_ground_state(alpha):
+    # the shooting oracle scans energies up from 0.02, so a level under
+    # the floor would come back as its lowest eigenvalue
+    params = dm.PotentialParams.from_alpha(alpha, g=1.0)
+    (first,) = q.spectrum(alpha, 1)
+    cfg = oc.default_config(params, e_max=math.sqrt(2.0 * (first.nu + 1.0)) + 0.25)
+    e1 = oc.eigenvalues(params, cfg)[0].energy
+    assert e1 * e1 / 2.0 - 1.0 > q._nu_floor(alpha)
+
+
+# below alpha = 0.5 the floor lies under nu = -1, so there is nothing to scan
+@pytest.mark.parametrize("alpha", [0.5 + 0.25 * k for k in range(15)])
+def test_no_brackets_below_nu_floor(alpha):
+    nu_floor = q._nu_floor(alpha)
+    for branch in (PLUS, MINUS):
+        brackets = q.scan_brackets(alpha, branch, q.DEFAULT_NU_MIN, nu_floor, q.DEFAULT_STEP)
+        assert brackets == []
+
+
+def _unfloored_spectrum(alpha, n_levels, step, nu_max):
+    """Both branches scanned from nu_min on the spectrum grid, then merged."""
+    roots = [
+        q.refine_root(bracket, alpha, branch)
+        for branch in (PLUS, MINUS)
+        for bracket in q.scan_brackets(alpha, branch, q.DEFAULT_NU_MIN, nu_max, step)
+    ]
+    roots.sort(key=lambda r: r.nu)
+    merged = []
+    for root in roots:
+        if merged and abs(root.nu - merged[-1].nu) <= q._DEDUP_TOL:
+            if abs(root.residual) < abs(merged[-1].residual):
+                merged[-1] = root
+            continue
+        merged.append(root)
+    return merged[:n_levels]
+
+
+@pytest.mark.parametrize("step", [q.DEFAULT_STEP, 0.005])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 3.75, 6.25])
+def test_spectrum_bit_identical_to_unfloored_scan(alpha, step):
+    top = q.spectrum(alpha, 6, step=step)
+    # the bracket of the highest root ends within one step above it
+    reference = _unfloored_spectrum(alpha, 6, step, top[-1].nu + 2.0 * step)
+    for n in range(1, 7):
+        got = q.spectrum(alpha, n, step=step)
+        assert [(float.hex(r.nu), r.branch, r.residual) for r in got] == [
+            (float.hex(r.nu), r.branch, r.residual) for r in reference[:n]
+        ]
+
+
+def test_spectrum_above_window_cap_fails_before_evaluating(monkeypatch):
+    calls = []
+
+    def counting(nu, alpha, branch):
+        calls.append(nu)
+        return q.condition_residual(nu, alpha, branch)
+
+    monkeypatch.setattr(q, "condition_residual", counting)
+    assert q._nu_floor(20.0) > q.WINDOW_CAP
+    with pytest.raises(WindowExhausted):
+        q.spectrum(20.0, 6)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
