@@ -37,8 +37,8 @@ from .diracmodel import (
     sample_wavefunction,
 )
 from .quantize import (
-    DEFAULT_NU_MAX,
     DEFAULT_NU_MIN,
+    WINDOW_CAP,
     SignBranch,
     _first_scan_index,
     _nu_floor,
@@ -50,7 +50,7 @@ from .quantize import (
 )
 from .specfun import Z_MAX
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,7 +110,7 @@ def _emit(record, args) -> None:
 
 def _record(command, params_echo, columns, rows, metadata, args):
     metadata = dict(metadata)
-    metadata["tolerances"] = {"tol_nu": args.tol_nu, "tol_energy": args.tol_energy}
+    metadata["tolerances"] = {"tol_energy": args.tol_energy}
     if not args.deterministic:
         metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
     return {
@@ -163,7 +163,7 @@ def _cmd_spectrum(args):
     meta = {
         "window": {
             "nu_min": DEFAULT_NU_MIN,
-            "nu_max": DEFAULT_NU_MAX,
+            "nu_max": WINDOW_CAP,
             "step": args.step,
             "nu_floor": nu_floor,
             "nu_start": DEFAULT_NU_MIN + i_start * args.step,
@@ -323,7 +323,6 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--deterministic", action="store_true", help="suppress timestamps")
-    parser.add_argument("--tol-nu", type=float, default=5e-3, dest="tol_nu")
     parser.add_argument("--tol-energy", type=float, default=1e-4, dest="tol_energy")
 
 

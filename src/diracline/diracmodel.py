@@ -13,6 +13,17 @@ functions of the stretched coordinates
 
 with the amplitude ratios D/C = C'/D' = E/sqrt(2g) and continuity at the
 kink fixing the remaining freedom up to one overall scale.
+
+Both pieces start at eta0 = sqrt(2) alpha, so the norm over the whole line
+is (2g)^(-1/2) [(C^2 + D'^2) I_{nu+1}(eta0) + (D^2 + C'^2) I_nu(eta0)] with
+I_mu(z) = int_z^oo D_mu(t)^2 dt.  D_mu'' = q D_mu with q = t^2/4 - mu - 1/2
+and d_mu q = -1, so u = dD_mu/dmu solves u'' = q u - D_mu, whence
+(D_mu u' - D_mu' u)' = -D_mu^2; D_mu' = (z/2) D_mu - D_{mu+1} then gives
+
+    I_mu(z) = D_{mu+1}(z) dD_mu/dmu(z) - D_mu(z) dD_{mu+1}/dmu(z),
+
+and the recurrence D_{nu+2} = z D_{nu+1} - (nu+1) D_nu, differentiated in
+nu, gives I_{nu+1} = (nu+1) I_nu + D_nu D_{nu+1}.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateError, DomainError, NonConvergence, TailError
 from .quantize import QuantizationRoot, SignBranch
-from .specfun import pcf_d
+from .specfun import NU_MAX, NU_MIN, pcf_d
 
 __all__ = [
     "Side",
@@ -45,6 +56,11 @@ __all__ = [
 _SQRT_2 = math.sqrt(2.0)
 _PIVOT_REL_TOL = 1e-12
 _TAIL_REL_TOL = 1e-12
+_ROUNDOFF = 8.0 * 2.220446049250313e-16
+# nu step h of the d/dnu stencil, and the (step / h, weight) pairs that
+# Richardson-extrapolate its central differences to O(h^6)
+_NU_STEP = 0.02
+_RICHARDSON = ((1.0, 1.0 / 45.0), (0.5, -20.0 / 45.0), (0.25, 64.0 / 45.0))
 
 
 class Side(enum.Enum):
@@ -227,27 +243,40 @@ def sample_wavefunction(
     return samples
 
 
-def _adaptive_simpson(f, a, b, tol, max_depth=48):
-    """Classic adaptive Simpson; returns (integral, error_estimate)."""
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def _order_slope(mu: float, z: float, h: float):
+    """(D_mu(z), its error, dD_mu/dmu at z, its error) from central differences
+    at steps h, h/2, h/4, Richardson-extrapolated; the derivative's bound is
+    the gap to the O(h^4) value plus the propagated value errors."""
+    slopes, noise = [], 0.0
+    for scale, weight in _RICHARDSON:
+        k = scale * h
+        up, down = pcf_d(mu + k, z), pcf_d(mu - k, z)
+        slopes.append((up.value - down.value) / (2.0 * k))
+        spread = up.est_abs_error + down.est_abs_error
+        spread += _ROUNDOFF * (abs(up.value) + abs(down.value))
+        noise += abs(weight) * spread / (2.0 * k)
+    slope = sum(w * d for (_, w), d in zip(_RICHARDSON, slopes))
+    coarse = (4.0 * slopes[2] - slopes[1]) / 3.0
+    centre = pcf_d(mu, z)
+    return centre.value, centre.est_abs_error, slope, abs(slope - coarse) + noise
 
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = (left + right - whole) / 15.0
-        if depth <= 0:
-            raise NonConvergence("adaptive Simpson recursion limit reached")
-        if abs(err) <= tol:
-            return left + right + err, abs(err)
-        li, le = recurse(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-        ri, re = recurse(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-        return li + ri, le + re
 
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
+def _probability_beyond(params, coeffs, nu: float, h: float, x: float):
+    """Probability on |x'| >= x >= 0 and an absolute bound on its error."""
+    _, eta, _ = coordinates(params, x)
+    d0, a0, p0, e0 = _order_slope(nu, eta, h)
+    d1, a1, p1, e1 = _order_slope(nu + 1.0, eta, h)
+    i_nu = d1 * p0 - d0 * p1
+    i_err = a1 * abs(p0) + abs(d1) * e0 + a0 * abs(p1) + abs(d0) * e1
+    i_err += _ROUNDOFF * (abs(d1 * p0) + abs(d0 * p1))
+    # I_{nu+1} = (nu+1) I_nu + D_nu D_{nu+1} (module docstring)
+    w_up = coeffs.c_plus ** 2 + coeffs.d_minus ** 2
+    weight = w_up * (nu + 1.0) + coeffs.d_plus ** 2 + coeffs.c_minus ** 2
+    cross = w_up * d0 * d1
+    err = weight * i_err + w_up * (a0 * abs(d1) + abs(d0) * a1)
+    err += _ROUNDOFF * (weight * abs(i_nu) + abs(cross))
+    scale = 1.0 / math.sqrt(2.0 * params.g)
+    return scale * (weight * i_nu + cross), scale * err
 
 
 def normalize(
@@ -258,44 +287,33 @@ def normalize(
 ):
     """Rescale all four amplitudes so the total probability integrates to 1.
 
-    Integration is adaptive Simpson on [-L, 0] and [0, L] separately (the
-    integrand has a kink at 0).  Raises TailError unless the density at +-L
-    is below 1e-12 of its peak.  Returns (coefficients, norm_error) with
-    the quadrature error reported relative to the unit norm; the overall
-    sign is fixed so the anchor amplitude is positive.
+    The norm is the closed form of the module docstring at eta0.  Raises
+    TailError when the probability beyond |x| = domain_halfwidth, the same
+    form at eta_L = sqrt(2g)(m/g + L), exceeds 1e-12 of the total.  Returns
+    (coefficients, norm_error), a bound on the norm's error relative to 1;
+    the overall sign is fixed so the anchor amplitude is positive.
     """
-    if not (domain_halfwidth > 0.0):
-        raise DomainError(f"need domain_halfwidth > 0, got {domain_halfwidth!r}")
     nu = root.nu
-
-    def density(x):
-        psi1, psi2 = _psi(params, coeffs, nu, x)
-        return psi1 * psi1 + psi2 * psi2
-
-    l_edge = domain_halfwidth
-    peak = max(
-        density(-l_edge + 2.0 * l_edge * i / 256.0) for i in range(257)
-    )
-    if peak <= 0.0:
-        raise DegenerateError("wavefunction vanishes identically on the domain")
-    tail = max(density(-l_edge), density(l_edge))
-    if tail > _TAIL_REL_TOL * peak:
-        raise TailError(
-            f"density at |x|={l_edge:g} is {tail / peak:.2e} of peak; "
-            "increase domain_halfwidth"
-        )
-    tol = 1e-13 * peak * l_edge + 1e-300
-    left, err_left = _adaptive_simpson(density, -l_edge, 0.0, tol)
-    right, err_right = _adaptive_simpson(density, 0.0, l_edge, tol)
-    total = left + right
+    # keep the stencils around orders nu and nu+1 inside the evaluation box
+    h = min(_NU_STEP, 0.5 * (nu - NU_MIN), 0.5 * (NU_MAX - 1.0 - nu))
+    if not (domain_halfwidth > 0.0 and h > 0.0):
+        raise DomainError(f"need halfwidth > 0, -1 < nu < 199; got {domain_halfwidth!r}, {nu!r}")
+    total, err = _probability_beyond(params, coeffs, nu, h, 0.0)
+    if total == 0.0:
+        raise DegenerateError("wavefunction vanishes identically")
     if not (total > 0.0) or not math.isfinite(total):
         raise NonConvergence(f"normalization integral came out as {total!r}")
+    tail, _ = _probability_beyond(params, coeffs, nu, h, domain_halfwidth)
+    if tail > _TAIL_REL_TOL * total:
+        raise TailError(
+            f"probability beyond |x|={domain_halfwidth:g} is {tail / total:.2e} "
+            "of the total; increase domain_halfwidth"
+        )
     factor = 1.0 / math.sqrt(total)
     anchor = coeffs.c_plus if coeffs.c_plus != 0.0 else coeffs.d_minus
     if anchor * factor < 0.0:
         factor = -factor
-    norm_error = (err_left + err_right + tail * 2.0 * l_edge) / total
-    return coeffs.scaled(factor), norm_error
+    return coeffs.scaled(factor), err / total + _ROUNDOFF
 
 
 def dirac_residual(

@@ -26,7 +26,7 @@ class DegenerateError(DiraclineError):
 
 
 class TailError(DiraclineError):
-    """Normalization domain too small: the integrand tail is not negligible."""
+    """Normalization domain too small: over 1e-12 of the probability lies beyond it."""
 
 
 class StepError(DiraclineError):

@@ -36,7 +36,7 @@ alpha = m/sqrt(g) this reads
 
 ``spectrum`` starts its grid scan just below that floor, on the same grid
 points it would visit from ``nu_min``, so its roots do not depend on the
-floor; once the floor passes the scan cap it fails without evaluating.
+floor; it evaluates no grid point above the scan cap.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
 
 DEFAULT_REFINE_TOL = 1e-12
 DEFAULT_NU_MIN = -1.0 + 1e-9
-DEFAULT_NU_MAX = 80.0
 DEFAULT_STEP = 0.01
 # the residual at nu evaluates order nu+1, which must stay inside the
 # supported evaluation box nu <= 200
@@ -284,53 +283,35 @@ def spectrum(
     n_levels: int,
     *,
     nu_min: float = DEFAULT_NU_MIN,
-    nu_max: float = DEFAULT_NU_MAX,
     step: float = DEFAULT_STEP,
     tol: float = DEFAULT_REFINE_TOL,
 ) -> list[QuantizationRoot]:
     """Lowest ``n_levels`` roots merged from both branches, ascending in nu.
 
-    The window is scanned lazily in chunks so that requesting a few levels
-    never evaluates the residual far above the highest root returned.  The
-    scan starts one grid step below ``_nu_floor(alpha)`` (or at ``nu_min``
-    if that is higher), on the grid nu_min + i*step, so the roots are the
-    ones a scan from ``nu_min`` finds.  If the window is exhausted it
-    auto-extends up to nu=200 before raising WindowExhausted; when the
-    floor already lies above that cap it raises before any evaluation.
+    The scan is lazy, so requesting a few levels never evaluates the
+    residual far above the highest root returned.  It starts one grid step
+    below ``_nu_floor(alpha)`` (or at ``nu_min`` if that is higher), on the
+    grid nu_min + i*step, so the roots are the ones a scan from ``nu_min``
+    finds.  It raises WindowExhausted before evaluating any grid point above
+    WINDOW_CAP, so without any evaluation when the floor lies two steps above.
     """
     if n_levels < 1:
         raise DomainError(f"need n_levels >= 1, got {n_levels!r}")
-    if not (nu_min > -1.0 and nu_max > nu_min):
-        raise DomainError(f"bad window [{nu_min!r}, {nu_max!r}]")
     if not (step > 0.0 and math.isfinite(step)):
         raise DomainError(f"need step > 0, got {step!r}")
     _check_nu_alpha(nu_min, alpha)
     nu_floor = _nu_floor(alpha)
-    scan_cap = max(nu_max, WINDOW_CAP)
-    if nu_floor > scan_cap:
-        raise WindowExhausted(
-            f"found 0 of {n_levels} roots with nu <= {scan_cap:g} at "
-            f"alpha={alpha:g}: every root lies above nu={nu_floor:g}"
-        )
     branches = (SignBranch.PLUS, SignBranch.MINUS)
     roots: list[QuantizationRoot] = []
-    window_hi = nu_max
     i = _first_scan_index(nu_floor, nu_min, step)
-    x_prev = nu_min + i * step
-    f_prev = {b: condition_residual(x_prev, alpha, b) for b in branches}
-    for b in branches:
-        if f_prev[b] == 0.0:
-            roots.append(QuantizationRoot(x_prev, b, 0.0, 0))
+    x_prev, f_prev = None, dict.fromkeys(branches, 0.0)
     while True:
-        i += 1
         x = nu_min + i * step
-        if x > window_hi:
-            if window_hi >= WINDOW_CAP:
-                raise WindowExhausted(
-                    f"found {len(roots)} of {n_levels} roots with nu <= "
-                    f"{WINDOW_CAP:g} at alpha={alpha:g}"
-                )
-            window_hi = min(window_hi + 40.0, WINDOW_CAP)
+        if x > WINDOW_CAP:
+            raise WindowExhausted(
+                f"found {len(roots)} of {n_levels} roots with nu <= {WINDOW_CAP:g} "
+                f"at alpha={alpha:g} (none lies below nu={nu_floor:g})"
+            )
         f_here = {}
         for b in branches:
             fx = condition_residual(x, alpha, b)
@@ -341,6 +322,7 @@ def spectrum(
                 bracket = RootBracket(x_prev, x, f_prev[b], fx)
                 roots.append(refine_root(bracket, alpha, b, tol))
         x_prev, f_prev = x, f_here
+        i += 1
         if len(roots) < n_levels:
             continue
         roots.sort(key=lambda r: r.nu)

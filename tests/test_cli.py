@@ -86,6 +86,18 @@ def test_spectrum_metadata_reports_scan_start(capsys):
     assert window["step"] <= window["nu_floor"] - window["nu_start"] < 2 * window["step"]
 
 
+def test_spectrum_metadata_window_covers_roots(capsys):
+    code, out, _ = run_cli(
+        ["spectrum", "--alpha", "13", "--levels", "2", "--format", "json",
+         "--deterministic"],
+        capsys,
+    )
+    assert code == 0
+    record = json.loads(out)
+    nu_max = record["metadata"]["window"]["nu_max"]
+    assert all(row[1] <= nu_max for row in record["rows"])
+
+
 def test_spectrum_above_window_cap_exits_2(capsys):
     code, _, err = run_cli(["spectrum", "--alpha", "20", "--levels", "6"], capsys)
     assert code == 2
@@ -97,6 +109,7 @@ def test_spectrum_usage_errors(capsys):
     assert run_cli(["spectrum", "--alpha", "1", "--m", "1", "--g", "1"], capsys)[0] == 1
     assert run_cli(["spectrum", "--levels", "2"], capsys)[0] == 1
     assert run_cli(["spectrum", "--m", "1", "--levels", "2"], capsys)[0] == 1
+    assert run_cli(["spectrum", "--alpha", "1", "--tol-nu", "1e-3"], capsys)[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +300,17 @@ def test_json_output_validates_against_shipped_schema(args, capsys):
     _, out, _ = run_cli(args + ["--format", "json", "--deterministic"], capsys)
     record = json.loads(out)
     schema_validate(record, load_schema())
+
+
+def test_json_tolerances_echo_tol_energy_only(capsys):
+    _, out, _ = run_cli(
+        ["spectrum", "--alpha", "1", "--levels", "1", "--format", "json",
+         "--tol-energy", "1e-3", "--deterministic"],
+        capsys,
+    )
+    record = json.loads(out)
+    assert record["schema_version"] == "2"
+    assert record["metadata"]["tolerances"] == {"tol_energy": 1e-3}
 
 
 def test_timestamp_present_without_deterministic(capsys):

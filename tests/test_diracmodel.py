@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from diracline import diracmodel as dm
 from diracline import oracle as oc
 from diracline import quantize as q
-from diracline.errors import DomainError, TailError
+from diracline.errors import DomainError, NonConvergence, TailError
 
 from _oracles import composite_simpson
 
@@ -329,6 +329,62 @@ def test_normalize_tail_error():
     c = dm.assemble_coefficients(p, root)
     with pytest.raises(TailError):
         dm.normalize(p, c, root, 1.5)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.35, ALPHA_STAR, 1.2, 2.0, 3.0])
+def test_normalize_error_bound_is_honest(alpha, monkeypatch):
+    mp = pytest.importorskip("mpmath")
+    monkeypatch.setattr(mp.mp, "dps", 20)
+    p = dm.PotentialParams.from_alpha(alpha)
+    z0 = mp.sqrt(2) * mp.mpf(alpha)
+
+    def half_line(mu):
+        return mp.quad(lambda t: mp.pcfd(mu, t) ** 2, [z0, z0 + 4, z0 + 12, mp.inf])
+
+    for level, root in enumerate(q.spectrum(alpha, 4), start=1):
+        normalized, err = dm.normalize(p, dm.assemble_coefficients(p, root), root, 12.0)
+        c, d, c2, d2 = (mp.mpf(v) for v in (
+            normalized.c_plus, normalized.d_plus, normalized.c_minus, normalized.d_minus))
+        nu = mp.mpf(root.nu)
+        norm = ((c * c + d2 * d2) * half_line(nu + 1)
+                + (d * d + c2 * c2) * half_line(nu)) / mp.sqrt(2)
+        assert abs(float(norm - 1)) <= err, f"level {level}: claimed {err:.2e}"
+
+
+def _recording_pcf_d(monkeypatch):
+    orders, real = [], dm.pcf_d
+
+    def recording(nu, z):
+        orders.append(nu)
+        return real(nu, z)
+
+    monkeypatch.setattr(dm, "pcf_d", recording)
+    return orders
+
+
+def test_normalize_evaluation_count(monkeypatch):
+    p = params_star()
+    root = q.spectrum(ALPHA_STAR, 4)[3]
+    c = dm.assemble_coefficients(p, root)
+    orders = _recording_pcf_d(monkeypatch)
+    dm.normalize(p, c, root, 12.0)
+    assert len(orders) <= 40
+
+
+def test_normalize_stencil_stays_in_order_box(monkeypatch):
+    p = params_star()
+    low, high = fake_root(-0.995), fake_root(198.995)
+    c_low, c_high = dm.assemble_coefficients(p, low), dm.assemble_coefficients(p, high)
+    orders = _recording_pcf_d(monkeypatch)
+    _, err = dm.normalize(p, c_low, low, 12.0)
+    assert err <= 1e-8
+    assert -1.0 <= min(orders) < -0.995
+    orders.clear()
+    # |D_199(1)| ~ 1e186, so the norm of this unit-anchored shape overflows
+    # after the stencil has been evaluated
+    with pytest.raises(NonConvergence):
+        dm.normalize(p, c_high, high, 12.0)
+    assert 199.995 < max(orders) <= 200.0
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,9 @@ def test_spectrum_monotone_and_distinct(alpha):
 def test_spectrum_window_exhaustion():
     with pytest.raises(WindowExhausted):
         q.spectrum(0.0, 100000)
+    # a coarse grid ends just past the cap, still inside the evaluation box
+    with pytest.raises(WindowExhausted):
+        q.spectrum(0.0, 100000, step=0.5)
 
 
 def test_spectrum_validation():
