@@ -37,10 +37,8 @@ from .diracmodel import (
     sample_wavefunction,
 )
 from .quantize import (
-    DEFAULT_NU_MIN,
     WINDOW_CAP,
     SignBranch,
-    _first_scan_index,
     _nu_floor,
     condition_residual,
     condition_residual_deriv_form,
@@ -50,7 +48,7 @@ from .quantize import (
 )
 from .specfun import Z_MAX
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -149,25 +147,15 @@ def _branch_from_flag(text: str) -> SignBranch:
 def _cmd_spectrum(args):
     if args.levels < 1:
         raise _UsageError("--levels must be >= 1")
-    if args.step <= 0.0:
-        raise _UsageError("--step must be > 0")
     params = _resolve_params(args)
-    roots = spectrum(params.alpha, args.levels, step=args.step)
+    roots = spectrum(params.alpha, args.levels)
     columns = ["index", "nu", "branch", "energy_plus", "energy_minus", "residual"]
     rows = []
     for idx, root in enumerate(roots, start=1):
         e = energy_from_nu(params, root.nu, EnergySign.POSITIVE, root.branch).energy
         rows.append((idx, root.nu, root.branch.value, e, -e, root.residual))
-    nu_floor = _nu_floor(params.alpha)
-    i_start = _first_scan_index(nu_floor, DEFAULT_NU_MIN, args.step)
     meta = {
-        "window": {
-            "nu_min": DEFAULT_NU_MIN,
-            "nu_max": WINDOW_CAP,
-            "step": args.step,
-            "nu_floor": nu_floor,
-            "nu_start": DEFAULT_NU_MIN + i_start * args.step,
-        },
+        "window": {"nu_floor": _nu_floor(params.alpha), "nu_max": WINDOW_CAP},
         "below_integer_window": [
             idx for idx, r in enumerate(roots, start=1) if r.below_integer_window
         ],
@@ -209,16 +197,6 @@ def _cmd_wavefunction(args):
     if args.dx <= 0.0 or args.x_max <= args.x_min:
         raise _UsageError("need dx > 0 and x_max > x_min")
     params = _resolve_params(args)
-    roots = spectrum(params.alpha, args.level)
-    root = roots[args.level - 1]
-    sign = EnergySign.POSITIVE if args.energy_sign == "positive" else EnergySign.NEGATIVE
-    level = energy_from_nu(params, root.nu, sign, root.branch)
-    coeffs = assemble_coefficients(params, root, sign)
-    norm_error = None
-    if args.normalize:
-        halfwidth = (args.halfwidth if args.halfwidth is not None
-                     else max(12.0 / math.sqrt(params.g), abs(args.x_min), args.x_max))
-        coeffs, norm_error = normalize(params, coeffs, root, halfwidth)
     for edge in (args.x_min, args.x_max):
         _, eta, _ = coordinates(params, edge)
         if abs(eta) > Z_MAX:
@@ -226,6 +204,18 @@ def _cmd_wavefunction(args):
                 f"grid point x={edge:g} maps to |eta|={abs(eta):g} > {Z_MAX:g}, "
                 "outside the supported evaluation range"
             )
+    roots = spectrum(params.alpha, args.level)
+    root = roots[args.level - 1]
+    sign = EnergySign.POSITIVE if args.energy_sign == "positive" else EnergySign.NEGATIVE
+    level = energy_from_nu(params, root.nu, sign, root.branch)
+    coeffs = assemble_coefficients(params, root, sign)
+    norm_error = None
+    if args.normalize:
+        # the largest halfwidth L with eta_L = sqrt(2g)(m/g + L) <= Z_MAX
+        widest = Z_MAX / math.sqrt(2.0 * params.g) - params.m / params.g
+        auto = min(max(12.0 / math.sqrt(params.g), abs(args.x_min), args.x_max), widest)
+        halfwidth = args.halfwidth if args.halfwidth is not None else auto
+        coeffs, norm_error = normalize(params, coeffs, root, halfwidth)
     n = int(math.floor((args.x_max - args.x_min) / args.dx + 1e-12))
     grid = [args.x_min + i * args.dx for i in range(n + 1) if args.x_min + i * args.dx <= args.x_max]
     samples = sample_wavefunction(params, coeffs, root, grid)
@@ -334,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="lowest bound-state orders and energies")
     _add_common(p)
     p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--step", type=float, default=0.01, help="scan grid step in nu")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("scan", help="matching-condition residuals on a nu grid")

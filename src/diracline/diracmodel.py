@@ -262,10 +262,13 @@ def _order_slope(mu: float, z: float, h: float):
 
 
 def _probability_beyond(params, coeffs, nu: float, h: float, x: float):
-    """Probability on |x'| >= x >= 0 and an absolute bound on its error."""
+    """(P, err, shift): the probability on |x'| >= x >= 0 is P 4^shift, and
+    err 4^shift bounds its error.  The D values are first divided by the
+    exact power of two 2^shift, so values near 1e170 can be squared."""
     _, eta, _ = coordinates(params, x)
-    d0, a0, p0, e0 = _order_slope(nu, eta, h)
-    d1, a1, p1, e1 = _order_slope(nu + 1.0, eta, h)
+    stencils = _order_slope(nu, eta, h) + _order_slope(nu + 1.0, eta, h)
+    shift = math.frexp(max(map(abs, stencils)))[1]
+    d0, a0, p0, e0, d1, a1, p1, e1 = (math.ldexp(v, -shift) for v in stencils)
     i_nu = d1 * p0 - d0 * p1
     i_err = a1 * abs(p0) + abs(d1) * e0 + a0 * abs(p1) + abs(d0) * e1
     i_err += _ROUNDOFF * (abs(d1 * p0) + abs(d0 * p1))
@@ -276,7 +279,7 @@ def _probability_beyond(params, coeffs, nu: float, h: float, x: float):
     err = weight * i_err + w_up * (a0 * abs(d1) + abs(d0) * a1)
     err += _ROUNDOFF * (weight * abs(i_nu) + abs(cross))
     scale = 1.0 / math.sqrt(2.0 * params.g)
-    return scale * (weight * i_nu + cross), scale * err
+    return scale * (weight * i_nu + cross), scale * err, shift
 
 
 def normalize(
@@ -298,18 +301,19 @@ def normalize(
     h = min(_NU_STEP, 0.5 * (nu - NU_MIN), 0.5 * (NU_MAX - 1.0 - nu))
     if not (domain_halfwidth > 0.0 and h > 0.0):
         raise DomainError(f"need halfwidth > 0, -1 < nu < 199; got {domain_halfwidth!r}, {nu!r}")
-    total, err = _probability_beyond(params, coeffs, nu, h, 0.0)
+    total, err, shift = _probability_beyond(params, coeffs, nu, h, 0.0)
     if total == 0.0:
         raise DegenerateError("wavefunction vanishes identically")
     if not (total > 0.0) or not math.isfinite(total):
         raise NonConvergence(f"normalization integral came out as {total!r}")
-    tail, _ = _probability_beyond(params, coeffs, nu, h, domain_halfwidth)
+    tail, _, tail_shift = _probability_beyond(params, coeffs, nu, h, domain_halfwidth)
+    tail = math.ldexp(tail, 2 * (tail_shift - shift))
     if tail > _TAIL_REL_TOL * total:
         raise TailError(
             f"probability beyond |x|={domain_halfwidth:g} is {tail / total:.2e} "
             "of the total; increase domain_halfwidth"
         )
-    factor = 1.0 / math.sqrt(total)
+    factor = math.ldexp(1.0 / math.sqrt(total), -shift)
     anchor = coeffs.c_plus if coeffs.c_plus != 0.0 else coeffs.d_minus
     if anchor * factor < 0.0:
         factor = -factor

@@ -148,17 +148,16 @@ def integrate_side(params, E: float, side: ShootSide, config: ShootingConfig):
 def match_determinant(params, E: float, config: ShootingConfig) -> float:
     """Scale-invariant mismatch psi1_L psi2_R - psi1_R psi2_L at x=0.
 
-    Normalized by the component magnitudes, so it is independent of the
-    integration scalings; zero exactly at eigenvalues and of opposite sign
-    on the two sides of each one.
+    Each side is scaled to unit length before the product, so the result is
+    independent of the integration scalings and cannot overflow; zero
+    exactly at eigenvalues and of opposite sign on the two sides of each one.
     """
     l1, l2, _ = integrate_side(params, E, ShootSide.LEFT, config)
     r1, r2, _ = integrate_side(params, E, ShootSide.RIGHT, config)
-    det = l1 * r2 - r1 * l2
-    norm = math.sqrt((l1 * l1 + l2 * l2) * (r1 * r1 + r2 * r2))
-    if norm == 0.0:
+    left, right = math.hypot(l1, l2), math.hypot(r1, r2)
+    if left == 0.0 or right == 0.0:
         raise StepError(f"degenerate shooting state at E={E:g}")
-    return det / norm
+    return (l1 / left) * (r2 / right) - (r1 / right) * (l2 / left)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,25 @@ The historical integer-order condition H_{n+1}(alpha) = +- sqrt(2(n+1))
 H_n(alpha) is kept as a separate residual so its lack of integer solutions
 can be demonstrated directly.
 
-Roots in nu are located by sign-change bracketing on a grid and refined by
-bisection with secant acceleration.  Residuals are kept in the entire
-(polynomial-like) form above: no normalization by D_nu(z0), hence no
-spurious poles to confuse the bracketing.
+Roots in nu are refined by bisection with secant acceleration inside
+sign-change brackets.  Residuals are kept in the entire (polynomial-like)
+form above: no normalization by D_nu(z0), hence no spurious poles to
+confuse the bracketing.
+
+The ratio form says tan(theta) = +-1 for the single phase
+
+    theta(nu) = atan2(D_{nu+1}(z0), sqrt(nu+1) D_nu(z0)).
+
+With I_mu = int_{z0}^oo D_mu(t)^2 dt > 0 and the identities of the
+``diracmodel`` docstring, I_mu = D_{mu+1} d_mu D_mu - D_mu d_mu D_{mu+1} and
+I_{nu+1} = (nu+1) I_nu + D_nu D_{nu+1},
+
+    dtheta/dnu = -[(nu+1) I_nu + I_{nu+1}]
+                 / (2 sqrt(nu+1) (D_{nu+1}^2 + (nu+1) D_nu^2)) < 0,
+
+and theta -> pi/2 as nu -> -1, where D_{nu+1} -> D_0 > 0.  So theta falls
+strictly, and level k is its single crossing of pi/4 - (k-1) pi/2: on the
+Plus branch for odd k, on the Minus branch for even k.
 
 No root lies below a floor that follows from squaring the Dirac equation.
 Each component then obeys -psi'' + [(m+g|x|)^2 -+ g sgn x] psi = E^2 psi,
@@ -34,9 +49,10 @@ alpha = m/sqrt(g) this reads
 
     nu >= nu_floor(alpha) = alpha^2/2 - 3/2 + (|a'_1|/2) (2 alpha)^(2/3).
 
-``spectrum`` starts its grid scan just below that floor, on the same grid
-points it would visit from ``nu_min``, so its roots do not depend on the
-floor; it evaluates no grid point above the scan cap.
+``spectrum`` marches nu up from that floor in strides of 0.25 and unwraps
+theta on the way.  No root lies below the floor, so theta starts in
+(pi/4, pi/2]; the stride on which it passes the next level's target
+brackets that level's root on its branch.
 """
 
 from __future__ import annotations
@@ -63,13 +79,14 @@ __all__ = [
 
 DEFAULT_REFINE_TOL = 1e-12
 DEFAULT_NU_MIN = -1.0 + 1e-9
-DEFAULT_STEP = 0.01
 # the residual at nu evaluates order nu+1, which must stay inside the
 # supported evaluation box nu <= 200
 WINDOW_CAP = 199.0
 _RESIDUAL_STOP = 1e-13
 _MAX_REFINE_ITER = 200
-_DEDUP_TOL = 1e-9
+# nu stride of the phase march; on alpha in [0, 19.5] theta falls by at most
+# 0.66 rad per stride, under the pi/2 between two levels
+_STRIDE = 0.25
 # |a'_1|, the first zero of Ai' (DLMF 9.9.1)
 _AIRY_PRIME_ZERO = 1.0187929716474710
 
@@ -175,13 +192,10 @@ def _nu_floor(alpha: float) -> float:
     return 0.5 * alpha * alpha - 1.5 + airy
 
 
-def _first_scan_index(nu_floor: float, nu_min: float, step: float) -> int:
-    """Index i of the grid point nu_min + i*step where the scan starts.
-
-    One grid step below the last point under the floor, so rounding in the
-    index cannot skip a bracket; never below the window start.
-    """
-    return max(0, math.floor((nu_floor - nu_min) / step) - 1)
+def _phase(nu: float, alpha: float) -> float:
+    """theta(nu) of the module docstring, wrapped to (-pi, pi]."""
+    z0 = math.sqrt(2.0) * alpha
+    return math.atan2(pcf_d(nu + 1.0, z0).value, math.sqrt(nu + 1.0) * pcf_d(nu, z0).value)
 
 
 def _scan_function(f, lo: float, hi: float, step: float):
@@ -278,64 +292,43 @@ def refine_root(
     )
 
 
-def spectrum(
-    alpha: float,
-    n_levels: int,
-    *,
-    nu_min: float = DEFAULT_NU_MIN,
-    step: float = DEFAULT_STEP,
-    tol: float = DEFAULT_REFINE_TOL,
-) -> list[QuantizationRoot]:
-    """Lowest ``n_levels`` roots merged from both branches, ascending in nu.
+def spectrum(alpha: float, n_levels: int) -> list[QuantizationRoot]:
+    """Lowest ``n_levels`` roots, ascending in nu; level k sits on the Plus
+    branch for odd k and on Minus for even k.
 
-    The scan is lazy, so requesting a few levels never evaluates the
-    residual far above the highest root returned.  It starts one grid step
-    below ``_nu_floor(alpha)`` (or at ``nu_min`` if that is higher), on the
-    grid nu_min + i*step, so the roots are the ones a scan from ``nu_min``
-    finds.  It raises WindowExhausted before evaluating any grid point above
-    WINDOW_CAP, so without any evaluation when the floor lies two steps above.
+    Marches nu up from ``_nu_floor(alpha)`` in steps of ``_STRIDE`` and
+    refines level k inside the stride where the unwrapped phase passes
+    pi/4 - (k-1) pi/2 (module docstring).  Raises WindowExhausted once the
+    march reaches WINDOW_CAP, without any evaluation when the floor lies
+    above it.
     """
     if n_levels < 1:
         raise DomainError(f"need n_levels >= 1, got {n_levels!r}")
-    if not (step > 0.0 and math.isfinite(step)):
-        raise DomainError(f"need step > 0, got {step!r}")
-    _check_nu_alpha(nu_min, alpha)
+    _check_nu_alpha(DEFAULT_NU_MIN, alpha)
     nu_floor = _nu_floor(alpha)
-    branches = (SignBranch.PLUS, SignBranch.MINUS)
+    nu = max(DEFAULT_NU_MIN, nu_floor)
+    # theta starts in (pi/4, pi/2] (module docstring); above the cap the
+    # first pass through the march raises before any evaluation
+    theta = wrapped = _phase(nu, alpha) if nu <= WINDOW_CAP else math.inf
     roots: list[QuantizationRoot] = []
-    i = _first_scan_index(nu_floor, nu_min, step)
-    x_prev, f_prev = None, dict.fromkeys(branches, 0.0)
-    while True:
-        x = nu_min + i * step
-        if x > WINDOW_CAP:
-            raise WindowExhausted(
-                f"found {len(roots)} of {n_levels} roots with nu <= {WINDOW_CAP:g} "
-                f"at alpha={alpha:g} (none lies below nu={nu_floor:g})"
-            )
-        f_here = {}
-        for b in branches:
-            fx = condition_residual(x, alpha, b)
-            f_here[b] = fx
-            if fx == 0.0:
-                roots.append(QuantizationRoot(x, b, 0.0, 0))
-            elif f_prev[b] * fx < 0.0:
-                bracket = RootBracket(x_prev, x, f_prev[b], fx)
-                roots.append(refine_root(bracket, alpha, b, tol))
-        x_prev, f_prev = x, f_here
-        i += 1
-        if len(roots) < n_levels:
-            continue
-        roots.sort(key=lambda r: r.nu)
-        deduped: list[QuantizationRoot] = []
-        for root in roots:
-            if deduped and abs(root.nu - deduped[-1].nu) <= _DEDUP_TOL:
-                if abs(root.residual) < abs(deduped[-1].residual):
-                    deduped[-1] = root
-                continue
-            deduped.append(root)
-        roots = deduped
-        if len(roots) >= n_levels:
-            return roots[:n_levels]
+    while len(roots) < n_levels:
+        target = math.pi / 4.0 - len(roots) * math.pi / 2.0
+        branch = SignBranch.PLUS if len(roots) % 2 == 0 else SignBranch.MINUS
+        while theta > target:
+            if nu >= WINDOW_CAP:
+                raise WindowExhausted(
+                    f"found {len(roots)} of {n_levels} roots with nu <= {WINDOW_CAP:g} "
+                    f"at alpha={alpha:g} (none lies below nu={nu_floor:g})"
+                )
+            nu_prev, nu = nu, min(nu + _STRIDE, WINDOW_CAP)
+            theta_wrapped = _phase(nu, alpha)
+            theta -= (wrapped - theta_wrapped) % (2.0 * math.pi)
+            wrapped = theta_wrapped
+        f_hi = condition_residual(nu, alpha, branch)
+        lo = nu_prev if f_hi != 0.0 else nu
+        bracket = RootBracket(lo, nu, condition_residual(lo, alpha, branch), f_hi)
+        roots.append(refine_root(bracket, alpha, branch))
+    return roots
 
 
 def hermite_condition_residual(n: int, alpha: float, branch: SignBranch) -> float:

@@ -78,12 +78,13 @@ def test_spectrum_metadata_reports_scan_start(capsys):
         capsys,
     )
     assert code == 0
-    window = json.loads(out)["metadata"]["window"]
+    record = json.loads(out)
+    window = record["metadata"]["window"]
+    # the phase march starts at the floor and may run up to the cap
+    assert set(window) == {"nu_floor", "nu_max"}
     assert window["nu_floor"] == pytest.approx(4.68199013703, abs=1e-10)
-    # the scan starts on the grid, between one and two steps below the floor
-    steps = (window["nu_start"] - window["nu_min"]) / window["step"]
-    assert steps == pytest.approx(round(steps), abs=1e-6)
-    assert window["step"] <= window["nu_floor"] - window["nu_start"] < 2 * window["step"]
+    assert window["nu_max"] == 199.0
+    assert window["nu_floor"] < record["rows"][0][1]
 
 
 def test_spectrum_metadata_window_covers_roots(capsys):
@@ -110,6 +111,7 @@ def test_spectrum_usage_errors(capsys):
     assert run_cli(["spectrum", "--levels", "2"], capsys)[0] == 1
     assert run_cli(["spectrum", "--m", "1", "--levels", "2"], capsys)[0] == 1
     assert run_cli(["spectrum", "--alpha", "1", "--tol-nu", "1e-3"], capsys)[0] == 1
+    assert run_cli(["spectrum", "--alpha", "1", "--step", "0.01"], capsys)[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +191,22 @@ def test_wavefunction_out_of_range_grid_exits_3(capsys):
     )
     assert code == 3
     assert "eta" in err
+
+
+@pytest.mark.parametrize("alpha", ["17", "19"])
+def test_wavefunction_normalize_at_large_alpha(alpha, capsys):
+    # the automatic halfwidth stops where eta_L reaches the evaluation box,
+    # and the norm of D values near 1e170 no longer overflows
+    code, out, err = run_cli(
+        ["wavefunction", "--alpha", alpha, "--level", "1", "--x-min", "-0.5",
+         "--x-max", "0.5", "--dx", "0.5", "--normalize", "--format", "json",
+         "--deterministic"],
+        capsys,
+    )
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["metadata"]["norm_error"] < 1e-5
+    assert all(math.isfinite(v) for row in record["rows"] for v in row)
 
 
 def test_wavefunction_unknown_level_exits_2(capsys):
@@ -309,7 +327,7 @@ def test_json_tolerances_echo_tol_energy_only(capsys):
         capsys,
     )
     record = json.loads(out)
-    assert record["schema_version"] == "2"
+    assert record["schema_version"] == "3"
     assert record["metadata"]["tolerances"] == {"tol_energy": 1e-3}
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from diracline import diracmodel as dm
 from diracline import oracle as oc
 from diracline import quantize as q
-from diracline.errors import DomainError, NonConvergence, TailError
+from diracline.errors import DomainError, TailError
+from diracline.specfun import Z_MAX
 
 from _oracles import composite_simpson
 
@@ -351,6 +352,27 @@ def test_normalize_error_bound_is_honest(alpha, monkeypatch):
         assert abs(float(norm - 1)) <= err, f"level {level}: claimed {err:.2e}"
 
 
+@pytest.mark.parametrize("alpha", [17.0, 19.0, 19.6])
+def test_normalize_error_bound_is_honest_at_large_alpha(alpha):
+    # D_nu(eta0) reaches 1e170 here, and the normalized amplitudes 1e-170
+    mp = pytest.importorskip("mpmath")
+    p = dm.PotentialParams.from_alpha(alpha)
+    root = q.spectrum(alpha, 1)[0]
+    halfwidth = Z_MAX / SQRT_2 - alpha
+    normalized, err = dm.normalize(p, dm.assemble_coefficients(p, root), root, halfwidth)
+    z0 = mp.sqrt(2) * mp.mpf(alpha)
+
+    def half_line(mu):
+        return mp.quad(lambda t: mp.pcfd(mu, t) ** 2, [z0, z0 + 4, z0 + 12, mp.inf])
+
+    # squared in mpf, since the float squares underflow
+    c, d, c2, d2 = (mp.mpf(v) for v in (
+        normalized.c_plus, normalized.d_plus, normalized.c_minus, normalized.d_minus))
+    nu = mp.mpf(root.nu)
+    norm = ((c * c + d2 * d2) * half_line(nu + 1) + (d * d + c2 * c2) * half_line(nu)) / mp.sqrt(2)
+    assert abs(float(norm - 1)) <= err <= 1e-5
+
+
 def _recording_pcf_d(monkeypatch):
     orders, real = [], dm.pcf_d
 
@@ -380,10 +402,10 @@ def test_normalize_stencil_stays_in_order_box(monkeypatch):
     assert err <= 1e-8
     assert -1.0 <= min(orders) < -0.995
     orders.clear()
-    # |D_199(1)| ~ 1e186, so the norm of this unit-anchored shape overflows
-    # after the stencil has been evaluated
-    with pytest.raises(NonConvergence):
-        dm.normalize(p, c_high, high, 12.0)
+    # |D_199(1)| ~ 1e186: the norm of this unit-anchored shape is scaled by a
+    # power of two instead of overflowing; the state reaches past |x| = 12
+    _, err = dm.normalize(p, c_high, high, 27.0)
+    assert err <= 1e-8
     assert 199.995 < max(orders) <= 200.0
 
 

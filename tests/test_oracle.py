@@ -93,6 +93,22 @@ def test_eigenvalues_lowest_levels_alpha_star():
     assert found[2].energy == pytest.approx(2.71329, abs=1e-4)
 
 
+@pytest.mark.filterwarnings("ignore:eigenvalue .* window edge")
+@pytest.mark.parametrize("alpha", [6.0, 7.0, 10.0, 14.0])
+def test_eigenvalues_match_spectrum_at_large_alpha(alpha):
+    # the side values pass 1e77 here, so an unscaled determinant overflows
+    # and reads 0 at every scan point; this also checks that the phase
+    # march in spectrum skips no level
+    p = dm.PotentialParams.from_alpha(alpha)
+    expected = [math.sqrt(2.0 * (r.nu + 1.0)) for r in q.spectrum(alpha, 4)]
+    e_floor = math.sqrt(2.0 * (q._nu_floor(alpha) + 1.0))
+    cfg = oc.default_config(p, e_max=expected[-1] + 0.25, e_min=e_floor - 0.1)
+    found = oc.eigenvalues(p, cfg)
+    assert len(found) >= 4
+    for r, e in zip(found, expected):
+        assert r.energy == pytest.approx(e, abs=1e-4)
+
+
 def test_eigenvalues_gauge_exact_g_rescaling():
     # scaling x, h, and the energy window by the right powers of g maps the
     # discretized problem onto itself, so energies double exactly for g=4

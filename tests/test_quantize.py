@@ -13,6 +13,8 @@ from _oracles import bisect, massless_ratio_residual
 ALPHA_STAR = 1.0 / math.sqrt(2.0)
 PLUS = q.SignBranch.PLUS
 MINUS = q.SignBranch.MINUS
+# grid step of the scan_brackets references
+SCAN_STEP = 0.01
 
 
 def test_residual_exact_identity_at_nu_zero():
@@ -195,15 +197,6 @@ def test_spectrum_massless_has_subzero_ground_state():
     assert not roots[1].below_integer_window
 
 
-def test_spectrum_root_stability_under_step_halving():
-    coarse = q.spectrum(2.0, 5, step=0.01)
-    fine = q.spectrum(2.0, 5, step=0.005)
-    assert len(fine) == len(coarse)
-    for a, b in zip(coarse, fine):
-        assert a.branch is b.branch
-        assert abs(a.nu - b.nu) <= 1e-10
-
-
 @pytest.mark.parametrize("alpha", [0.0, 0.35, 1.0, 2.0])
 def test_spectrum_monotone_and_distinct(alpha):
     roots = q.spectrum(alpha, 6)
@@ -214,9 +207,10 @@ def test_spectrum_monotone_and_distinct(alpha):
 def test_spectrum_window_exhaustion():
     with pytest.raises(WindowExhausted):
         q.spectrum(0.0, 100000)
-    # a coarse grid ends just past the cap, still inside the evaluation box
-    with pytest.raises(WindowExhausted):
-        q.spectrum(0.0, 100000, step=0.5)
+    # a full 0.01 scan of both branches finds 200 roots below nu = 199 at alpha = 0
+    assert len(q.spectrum(0.0, 200)) == 200
+    with pytest.raises(WindowExhausted, match="found 200 of 201"):
+        q.spectrum(0.0, 201)
 
 
 def test_spectrum_validation():
@@ -224,8 +218,6 @@ def test_spectrum_validation():
         q.spectrum(ALPHA_STAR, 0)
     with pytest.raises(DomainError):
         q.spectrum(-1.0, 1)
-    with pytest.raises(DomainError):
-        q.spectrum(ALPHA_STAR, 1, step=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +245,7 @@ def test_nu_floor_below_shooting_ground_state(alpha):
 def test_no_brackets_below_nu_floor(alpha):
     nu_floor = q._nu_floor(alpha)
     for branch in (PLUS, MINUS):
-        brackets = q.scan_brackets(alpha, branch, q.DEFAULT_NU_MIN, nu_floor, q.DEFAULT_STEP)
+        brackets = q.scan_brackets(alpha, branch, q.DEFAULT_NU_MIN, nu_floor, SCAN_STEP)
         assert brackets == []
 
 
@@ -267,7 +259,7 @@ def _unfloored_spectrum(alpha, n_levels, step, nu_max):
     roots.sort(key=lambda r: r.nu)
     merged = []
     for root in roots:
-        if merged and abs(root.nu - merged[-1].nu) <= q._DEDUP_TOL:
+        if merged and abs(root.nu - merged[-1].nu) <= 1e-9:
             if abs(root.residual) < abs(merged[-1].residual):
                 merged[-1] = root
             continue
@@ -275,31 +267,81 @@ def _unfloored_spectrum(alpha, n_levels, step, nu_max):
     return merged[:n_levels]
 
 
-@pytest.mark.parametrize("step", [q.DEFAULT_STEP, 0.005])
+@pytest.mark.parametrize("step", [SCAN_STEP, 0.005])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 3.75, 6.25])
-def test_spectrum_bit_identical_to_unfloored_scan(alpha, step):
-    top = q.spectrum(alpha, 6, step=step)
+def test_spectrum_matches_unfloored_scan(alpha, step):
+    top = q.spectrum(alpha, 6)
     # the bracket of the highest root ends within one step above it
     reference = _unfloored_spectrum(alpha, 6, step, top[-1].nu + 2.0 * step)
-    for n in range(1, 7):
-        got = q.spectrum(alpha, n, step=step)
-        assert [(float.hex(r.nu), r.branch, r.residual) for r in got] == [
-            (float.hex(r.nu), r.branch, r.residual) for r in reference[:n]
-        ]
+    assert [r.branch for r in top] == [r.branch for r in reference]
+    for got, ref in zip(top, reference):
+        assert abs(got.nu - ref.nu) <= 1e-10
+    for n in range(1, 6):
+        assert q.spectrum(alpha, n) == top[:n]
+
+
+def _counting(monkeypatch, name):
+    calls, real = [], getattr(q, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(q, name, counting)
+    return calls
 
 
 def test_spectrum_above_window_cap_fails_before_evaluating(monkeypatch):
-    calls = []
-
-    def counting(nu, alpha, branch):
-        calls.append(nu)
-        return q.condition_residual(nu, alpha, branch)
-
-    monkeypatch.setattr(q, "condition_residual", counting)
+    residuals = _counting(monkeypatch, "condition_residual")
+    evaluations = _counting(monkeypatch, "pcf_d")
     assert q._nu_floor(20.0) > q.WINDOW_CAP
     with pytest.raises(WindowExhausted):
         q.spectrum(20.0, 6)
-    assert calls == []
+    assert residuals == [] and evaluations == []
+
+
+def test_spectrum_evaluation_budget(monkeypatch):
+    # the 0.01 scan of both branches made 5996 calls here
+    evaluations = _counting(monkeypatch, "pcf_d")
+    q.spectrum(6.25, 6)
+    assert len(evaluations) <= 1000
+
+
+# ---------------------------------------------------------------------------
+# the phase theta(nu) that indexes the levels
+
+
+@pytest.mark.parametrize(
+    "nu, alpha", [(-0.5, 0.0), (0.3, ALPHA_STAR), (2.5, 2.0), (7.1, 3.5), (12.0, 5.0)]
+)
+def test_phase_slope_matches_closed_form(nu, alpha):
+    # dtheta/dnu = -[2(nu+1) I_nu + D_nu D_{nu+1}] / (2 sqrt(nu+1) (D_{nu+1}^2 + (nu+1) D_nu^2))
+    mp = pytest.importorskip("mpmath")
+    z0 = mp.sqrt(2) * mp.mpf(alpha)
+    i_nu = mp.quad(lambda t: mp.pcfd(nu, t) ** 2, [z0, z0 + 4, z0 + 12, mp.inf])
+    d0, d1 = mp.pcfd(nu, z0), mp.pcfd(nu + 1, z0)
+    closed = -(2 * (nu + 1) * i_nu + d0 * d1) / (
+        2 * mp.sqrt(nu + 1) * (d1 ** 2 + (nu + 1) * d0 ** 2)
+    )
+    h = 1e-4
+    step = (q._phase(nu + h, alpha) - q._phase(nu - h, alpha) + math.pi) % (2.0 * math.pi)
+    slope = (step - math.pi) / (2.0 * h)
+    assert closed < 0
+    assert slope == pytest.approx(float(closed), rel=1e-7)
+
+
+def test_phase_falls_by_under_a_quarter_turn_per_stride():
+    # so each stride crosses at most one level, and unwrapping cannot alias
+    for alpha in [0.25 * k for k in range(79)]:
+        nu = max(q.DEFAULT_NU_MIN, q._nu_floor(alpha))
+        theta = wrapped = q._phase(nu, alpha)
+        assert math.pi / 4.0 < theta <= math.pi / 2.0
+        while theta > math.pi / 4.0 - 5.0 * math.pi / 2.0 and nu < q.WINDOW_CAP:
+            nu = min(nu + q._STRIDE, q.WINDOW_CAP)
+            new = q._phase(nu, alpha)
+            drop = (wrapped - new) % (2.0 * math.pi)
+            assert 0.0 < drop <= math.pi / 2.0, (alpha, nu)
+            theta, wrapped = theta - drop, new
 
 
 # ---------------------------------------------------------------------------
