@@ -11,6 +11,7 @@ failure, 4 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -48,7 +49,7 @@ from .quantize import (
 )
 from .specfun import Z_MAX
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -269,15 +270,8 @@ def _cmd_oracle_compare(args):
         energy_from_nu(params, r.nu, EnergySign.POSITIVE, r.branch).energy for r in roots
     ]
     cfg = oracle.default_config(params, e_max=analytic[-1] + 0.25 * math.sqrt(params.g))
-    if args.x_max is not None or args.h is not None or args.e_step is not None:
-        cfg = oracle.ShootingConfig(
-            x_max=args.x_max if args.x_max is not None else cfg.x_max,
-            h=args.h if args.h is not None else cfg.h,
-            e_min=cfg.e_min,
-            e_max=cfg.e_max,
-            e_step=args.e_step if args.e_step is not None else cfg.e_step,
-            tol=cfg.tol,
-        )
+    overrides = {k: v for k, v in (("x_max", args.x_max), ("h", args.h)) if v is not None}
+    cfg = dataclasses.replace(cfg, **overrides)
     shot = oracle.eigenvalues(params, cfg.validated(params.g))
     columns = ["index", "energy_analytic", "energy_oracle", "abs_diff", "rel_diff", "within_tol"]
     rows = []
@@ -298,7 +292,6 @@ def _cmd_oracle_compare(args):
             "h": cfg.h,
             "e_min": cfg.e_min,
             "e_max": cfg.e_max,
-            "e_step": cfg.e_step,
         },
         "all_within_tol": not any_fail,
     }
@@ -357,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--x-max", type=float, default=None, dest="x_max")
     p.add_argument("--h", type=float, default=None)
-    p.add_argument("--e-step", type=float, default=None, dest="e_step")
     p.set_defaults(func=_cmd_oracle_compare)
 
     return parser

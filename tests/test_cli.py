@@ -112,6 +112,7 @@ def test_spectrum_usage_errors(capsys):
     assert run_cli(["spectrum", "--m", "1", "--levels", "2"], capsys)[0] == 1
     assert run_cli(["spectrum", "--alpha", "1", "--tol-nu", "1e-3"], capsys)[0] == 1
     assert run_cli(["spectrum", "--alpha", "1", "--step", "0.01"], capsys)[0] == 1
+    assert run_cli(["oracle-compare", "--alpha", "1", "--e-step", "0.05"], capsys)[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +276,17 @@ def test_oracle_compare_passes_at_default_tolerance(capsys):
     assert all(float(r[4]) <= 1e-4 for r in rows)
 
 
+def test_oracle_compare_metadata_shooting_keys(capsys):
+    code, out, _ = run_cli(
+        ["oracle-compare", "--alpha", ALPHA_STAR_STR, "--levels", "1",
+         "--format", "json", "--deterministic"],
+        capsys,
+    )
+    assert code == 0
+    shooting = json.loads(out)["metadata"]["shooting"]
+    assert set(shooting) == {"x_max", "h", "e_min", "e_max"}
+
+
 def test_oracle_compare_tight_tolerance_exits_4_with_output(capsys):
     code, out, _ = run_cli(
         ["oracle-compare", "--alpha", ALPHA_STAR_STR, "--levels", "2",
@@ -327,7 +339,7 @@ def test_json_tolerances_echo_tol_energy_only(capsys):
         capsys,
     )
     record = json.loads(out)
-    assert record["schema_version"] == "3"
+    assert record["schema_version"] == "4"
     assert record["metadata"]["tolerances"] == {"tol_energy": 1e-3}
 
 

@@ -231,7 +231,7 @@ def test_airy_prime_zero_constant():
 
 @pytest.mark.parametrize("alpha", [0.5 * k for k in range(11)])
 def test_nu_floor_below_shooting_ground_state(alpha):
-    # the shooting oracle scans energies up from 0.02, so a level under
+    # the shooting oracle's window starts at E = 0.02, so a level under
     # the floor would come back as its lowest eigenvalue
     params = dm.PotentialParams.from_alpha(alpha, g=1.0)
     (first,) = q.spectrum(alpha, 1)
