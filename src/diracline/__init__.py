@@ -21,7 +21,6 @@ from .errors import (
 )
 from .specfun import (
     EvalReport,
-    PcfOrder,
     gamma,
     hermite,
     kummer_m,
@@ -71,7 +70,7 @@ __all__ = [
     "__version__",
     "DiraclineError", "DomainError", "PoleError", "NonConvergence",
     "WindowExhausted", "DegenerateError", "TailError", "StepError",
-    "EvalReport", "PcfOrder", "gamma", "rgamma", "kummer_m", "hermite",
+    "EvalReport", "gamma", "rgamma", "kummer_m", "hermite",
     "pcf_d", "pcf_d_prime",
     "SignBranch", "RootBracket", "QuantizationRoot", "paired_branch",
     "condition_residual", "condition_residual_deriv_form", "scan_brackets",

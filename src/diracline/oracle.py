@@ -40,7 +40,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergence, StepError
+from .errors import DomainError, StepError
+from .roots import illinois
 
 __all__ = [
     "ShootSide",
@@ -54,7 +55,6 @@ __all__ = [
 
 _RENORM_EVERY = 100
 _RENORM_LIMIT = 1e150
-_MAX_REFINE = 200
 
 
 class ShootSide(enum.Enum):
@@ -195,39 +195,12 @@ class MatchResult:
     converged: bool
 
 
-def _refine_energy(f, lo, hi, f_lo, f_hi, tol_e):
-    """Illinois false position on a bracket with f_lo < 0 <= f_hi: an end
-    kept twice in a row has its value halved."""
-    x_best, f_best = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-    kept = 0  # -1: lo was kept last time, +1: hi was
-    for _ in range(_MAX_REFINE):
-        if hi - lo <= tol_e or f_best == 0.0:
-            return x_best, f_best
-        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        fx = f(x)
-        if fx == 0.0:
-            return x, 0.0
-        if fx < 0.0:
-            lo, f_lo = x, fx
-            if kept == 1:
-                f_hi *= 0.5
-            kept = 1
-        else:
-            hi, f_hi = x, fx
-            if kept == -1:
-                f_lo *= 0.5
-            kept = -1
-        if abs(fx) < abs(f_best):
-            x_best, f_best = x, fx
-    raise NonConvergence(f"energy refinement stalled near E={x_best:g}")
-
-
 def eigenvalues(params, config: ShootingConfig) -> list[MatchResult]:
     """All eigenvalues in the window [e_min, e_max], ascending.
 
     The Prüfer angle at the window ends fixes which levels lie inside: one
     per target pi/4 + j pi/2 between the two angles.  Each is refined on
-    the angle, from the previous root up to e_max.
+    the angle by ``roots.illinois``, from the previous root up to e_max.
     """
     cfg = config.validated(params.g)
 
@@ -241,7 +214,7 @@ def eigenvalues(params, config: ShootingConfig) -> list[MatchResult]:
     j = max(0, math.floor((phi_lo - 0.25 * math.pi) / quarter) + 1)
     results = []
     while (target := 0.25 * math.pi + j * quarter) <= phi_hi:
-        root, f_root = _refine_energy(
+        root, f_root, _ = illinois(
             lambda E: angle(E) - target, lo, cfg.e_max,
             phi_lo - target, phi_hi - target, tol_e,
         )

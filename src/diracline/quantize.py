@@ -17,7 +17,7 @@ The historical integer-order condition H_{n+1}(alpha) = +- sqrt(2(n+1))
 H_n(alpha) is kept as a separate residual so its lack of integer solutions
 can be demonstrated directly.
 
-Roots in nu are refined by bisection with secant acceleration inside
+Roots in nu are refined by Illinois false position (``roots``) inside
 sign-change brackets.  Residuals are kept in the entire (polynomial-like)
 form above: no normalization by D_nu(z0), hence no spurious poles to
 confuse the bracketing.
@@ -61,7 +61,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergence, WindowExhausted
+from .errors import DomainError, WindowExhausted
+from .roots import illinois
 from .specfun import hermite, pcf_d, pcf_d_prime
 
 __all__ = [
@@ -77,13 +78,13 @@ __all__ = [
     "hermite_condition_residual",
 ]
 
-DEFAULT_REFINE_TOL = 1e-12
 DEFAULT_NU_MIN = -1.0 + 1e-9
 # the residual at nu evaluates order nu+1, which must stay inside the
 # supported evaluation box nu <= 200
 WINDOW_CAP = 199.0
+# refinement stops at this nu width or at this residual magnitude
+_REFINE_WIDTH = 1e-12
 _RESIDUAL_STOP = 1e-13
-_MAX_REFINE_ITER = 200
 # nu stride of the phase march; on alpha in [0, 19.5] theta falls by at most
 # 0.66 rad per stride, under the pi/2 between two levels
 _STRIDE = 0.25
@@ -253,43 +254,21 @@ def refine_root(
     bracket: RootBracket,
     alpha: float,
     branch: SignBranch,
-    tol: float = DEFAULT_REFINE_TOL,
 ) -> QuantizationRoot:
-    """Refine a bracket by bisection with secant acceleration.
+    """Refine a bracket by Illinois false position on the ratio-form residual.
 
-    Stops once the bracket width drops below ``tol`` or the residual
-    magnitude below 1e-13; the sign-change guarantee of the input bracket
-    is preserved throughout.
+    Stops once the bracket is no wider than 1e-12 or the residual magnitude
+    is at most 1e-13, and returns the point with the smallest residual seen;
+    the sign-change guarantee of the input bracket is preserved throughout.
     """
-    if not (tol > 0.0):
-        raise DomainError(f"need tol > 0, got {tol!r}")
     if bracket.degenerate:
         return QuantizationRoot(bracket.nu_lo, branch, bracket.f_lo, 0)
-    lo, hi, f_lo, f_hi = bracket.nu_lo, bracket.nu_hi, bracket.f_lo, bracket.f_hi
-    x_best, f_best = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-    for iteration in range(1, _MAX_REFINE_ITER + 1):
-        width = hi - lo
-        if width <= tol or abs(f_best) <= _RESIDUAL_STOP:
-            return QuantizationRoot(x_best, branch, f_best, iteration - 1)
-        # secant proposal, guarded away from the bracket ends
-        denom = f_hi - f_lo
-        x = lo - f_lo * width / denom if denom != 0.0 else 0.5 * (lo + hi)
-        margin = 0.05 * width
-        if not (lo + margin <= x <= hi - margin):
-            x = 0.5 * (lo + hi)
-        fx = condition_residual(x, alpha, branch)
-        if fx == 0.0:
-            return QuantizationRoot(x, branch, 0.0, iteration)
-        if f_lo * fx < 0.0:
-            hi, f_hi = x, fx
-        else:
-            lo, f_lo = x, fx
-        if abs(fx) < abs(f_best):
-            x_best, f_best = x, fx
-    raise NonConvergence(
-        f"root refinement did not converge in {_MAX_REFINE_ITER} iterations "
-        f"(bracket [{bracket.nu_lo:g}, {bracket.nu_hi:g}], branch {branch.value})"
+    nu, residual, iterations = illinois(
+        lambda nu: condition_residual(nu, alpha, branch),
+        bracket.nu_lo, bracket.nu_hi, bracket.f_lo, bracket.f_hi,
+        _REFINE_WIDTH, _RESIDUAL_STOP,
     )
+    return QuantizationRoot(nu, branch, residual, iterations)
 
 
 def spectrum(alpha: float, n_levels: int) -> list[QuantizationRoot]:

@@ -42,7 +42,6 @@ __all__ = [
     "NU_MAX",
     "Z_MAX",
     "EvalReport",
-    "PcfOrder",
     "gamma",
     "rgamma",
     "kummer_m",
@@ -89,20 +88,6 @@ class EvalReport:
     value: float
     est_abs_error: float
     path: str
-
-
-@dataclass(frozen=True)
-class PcfOrder:
-    """Validated real order for the parabolic cylinder function."""
-
-    nu: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.nu) or not (NU_MIN <= self.nu <= NU_MAX):
-            raise DomainError(
-                f"parabolic cylinder order must lie in [{NU_MIN:g}, {NU_MAX:g}], "
-                f"got {self.nu!r}"
-            )
 
 
 def gamma(x: float) -> float:
@@ -659,7 +644,7 @@ def _pcf_d_impl(nu: float, z: float) -> EvalReport:
 
 
 def _order_value(nu) -> float:
-    value = nu.nu if isinstance(nu, PcfOrder) else float(nu)
+    value = float(nu)
     if not math.isfinite(value) or not (NU_MIN <= value <= NU_MAX):
         raise DomainError(
             f"pcf order must lie in [{NU_MIN:g}, {NU_MAX:g}], got {value!r}"
@@ -670,9 +655,8 @@ def _order_value(nu) -> float:
 def pcf_d(nu, z: float) -> EvalReport:
     """Parabolic cylinder function D_nu(z), recessive as z -> +oo.
 
-    ``nu`` may be a float or a :class:`PcfOrder`; supported box is
-    nu in [-1, 200], |z| <= 40 (outside it a DomainError is raised rather
-    than silently returning garbage).
+    Supported box is nu in [-1, 200], |z| <= 40 (outside it a DomainError
+    is raised rather than silently returning garbage).
     """
     order = _order_value(nu)
     if not math.isfinite(z) or abs(z) > Z_MAX:

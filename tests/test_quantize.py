@@ -166,12 +166,6 @@ def test_bracket_validation():
         q.RootBracket(2.0, 1.0, 1.0, -1.0)  # reversed
 
 
-def test_refine_tol_validation():
-    bracket = q.RootBracket(-0.1, 0.1, 1.0, -1.0)
-    with pytest.raises(DomainError):
-        q.refine_root(bracket, ALPHA_STAR, PLUS, tol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -250,17 +244,24 @@ def test_no_brackets_below_nu_floor(alpha):
 
 
 def _unfloored_spectrum(alpha, n_levels, step, nu_max):
-    """Both branches scanned from nu_min on the spectrum grid, then merged."""
-    roots = [
-        q.refine_root(bracket, alpha, branch)
-        for branch in (PLUS, MINUS)
-        for bracket in q.scan_brackets(alpha, branch, q.DEFAULT_NU_MIN, nu_max, step)
-    ]
-    roots.sort(key=lambda r: r.nu)
+    """Both branches scanned from nu_min on the spectrum grid, each bracket
+    bisected (not refined by the solver under test), then merged.
+
+    Returns (nu, branch, |residual|) triples, ascending in nu.
+    """
+    roots = []
+    for branch in (PLUS, MINUS):
+        def f(nu, branch=branch):
+            return q.condition_residual(nu, alpha, branch)
+
+        for b in q.scan_brackets(alpha, branch, q.DEFAULT_NU_MIN, nu_max, step):
+            nu = b.nu_lo if b.degenerate else bisect(f, b.nu_lo, b.nu_hi)
+            roots.append((nu, branch, abs(f(nu))))
+    roots.sort(key=lambda r: r[0])
     merged = []
     for root in roots:
-        if merged and abs(root.nu - merged[-1].nu) <= 1e-9:
-            if abs(root.residual) < abs(merged[-1].residual):
+        if merged and abs(root[0] - merged[-1][0]) <= 1e-9:
+            if root[2] < merged[-1][2]:
                 merged[-1] = root
             continue
         merged.append(root)
@@ -273,9 +274,9 @@ def test_spectrum_matches_unfloored_scan(alpha, step):
     top = q.spectrum(alpha, 6)
     # the bracket of the highest root ends within one step above it
     reference = _unfloored_spectrum(alpha, 6, step, top[-1].nu + 2.0 * step)
-    assert [r.branch for r in top] == [r.branch for r in reference]
-    for got, ref in zip(top, reference):
-        assert abs(got.nu - ref.nu) <= 1e-10
+    assert [r.branch for r in top] == [branch for _, branch, _ in reference]
+    for got, (nu, _, _) in zip(top, reference):
+        assert abs(got.nu - nu) <= 1e-10
     for n in range(1, 6):
         assert q.spectrum(alpha, n) == top[:n]
 
@@ -301,10 +302,18 @@ def test_spectrum_above_window_cap_fails_before_evaluating(monkeypatch):
 
 
 def test_spectrum_evaluation_budget(monkeypatch):
-    # the 0.01 scan of both branches made 5996 calls here
+    # the 0.01 scan of both branches made 5996 calls here, and the march
+    # with a guarded-secant refinement 626
     evaluations = _counting(monkeypatch, "pcf_d")
     q.spectrum(6.25, 6)
-    assert len(evaluations) <= 1000
+    assert len(evaluations) <= 300
+
+
+@pytest.mark.parametrize("alpha", [0.0, ALPHA_STAR, 3.75, 6.25, 10.0, 14.0])
+def test_refinement_iteration_budget(alpha):
+    # bisection from a 0.25 stride to the 1e-12 width stop takes 38 halvings;
+    # Illinois converges superlinearly once it is close
+    assert max(r.iterations for r in q.spectrum(alpha, 6)) <= 16
 
 
 # ---------------------------------------------------------------------------

@@ -183,10 +183,6 @@ def test_pcf_domain_errors():
         sf.pcf_d(1.0, 41.0)
     with pytest.raises(DomainError):
         sf.pcf_d_prime(200.0, 0.0)  # needs nu+1 in range
-    with pytest.raises(DomainError):
-        sf.PcfOrder(250.0)
-    # the validated wrapper type is accepted wherever a float is
-    assert sf.pcf_d(sf.PcfOrder(1.0), 1.0).value == sf.pcf_d(1.0, 1.0).value
 
 
 def test_eval_report_paths_are_recorded():
