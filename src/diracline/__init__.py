@@ -14,16 +14,13 @@ from .errors import (
     DiraclineError,
     DomainError,
     NonConvergence,
-    PoleError,
     StepError,
     TailError,
     WindowExhausted,
 )
 from .specfun import (
     EvalReport,
-    gamma,
     hermite,
-    kummer_m,
     pcf_d,
     pcf_d_prime,
     rgamma,
@@ -37,7 +34,6 @@ from .quantize import (
     hermite_condition_residual,
     paired_branch,
     refine_root,
-    scan_brackets,
     spectrum,
 )
 from .diracmodel import (
@@ -51,9 +47,7 @@ from .diracmodel import (
     coordinates,
     dirac_residual,
     energy_from_nu,
-    energy_integer_case,
     normalize,
-    potential_at,
     sample_wavefunction,
 )
 from .oracle import (
@@ -68,16 +62,16 @@ from .oracle import (
 
 __all__ = [
     "__version__",
-    "DiraclineError", "DomainError", "PoleError", "NonConvergence",
+    "DiraclineError", "DomainError", "NonConvergence",
     "WindowExhausted", "DegenerateError", "TailError", "StepError",
-    "EvalReport", "gamma", "rgamma", "kummer_m", "hermite",
+    "EvalReport", "rgamma", "hermite",
     "pcf_d", "pcf_d_prime",
     "SignBranch", "RootBracket", "QuantizationRoot", "paired_branch",
-    "condition_residual", "condition_residual_deriv_form", "scan_brackets",
+    "condition_residual", "condition_residual_deriv_form",
     "refine_root", "spectrum", "hermite_condition_residual",
     "Side", "EnergySign", "PotentialParams", "EnergyLevel",
-    "WavefunctionCoefficients", "BispinorSample", "potential_at",
-    "coordinates", "energy_from_nu", "energy_integer_case",
+    "WavefunctionCoefficients", "BispinorSample",
+    "coordinates", "energy_from_nu",
     "assemble_coefficients", "sample_wavefunction", "normalize",
     "dirac_residual",
     "ShootSide", "ShootingConfig", "MatchResult", "default_config",

@@ -43,10 +43,8 @@ __all__ = [
     "EnergyLevel",
     "WavefunctionCoefficients",
     "BispinorSample",
-    "potential_at",
     "coordinates",
     "energy_from_nu",
-    "energy_integer_case",
     "assemble_coefficients",
     "sample_wavefunction",
     "normalize",
@@ -134,11 +132,6 @@ class BispinorSample:
     psi2: float
 
 
-def potential_at(params: PotentialParams, x: float) -> float:
-    """Scalar potential g|x|."""
-    return params.g * abs(x)
-
-
 def coordinates(params: PotentialParams, x: float):
     """Stretched coordinates (xi, eta, side) at position x; x=0 maps Right."""
     root_g = math.sqrt(params.g)
@@ -158,15 +151,6 @@ def energy_from_nu(
         raise DomainError(f"need nu >= -1, got {nu!r}")
     energy = sign.sign * math.sqrt(2.0 * params.g * (nu + 1.0))
     return EnergyLevel(nu=nu, branch=branch, energy=energy, energy_sign=sign)
-
-
-def energy_integer_case(g: float, n: int) -> float:
-    """Integer-ladder energy sqrt(2 (n+1) g); equals energy_from_nu at nu=n."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"need integer n >= 0, got {n!r}")
-    if not (g > 0.0):
-        raise DomainError(f"need g > 0, got {g!r}")
-    return math.sqrt(2.0 * (int(n) + 1) * g)
 
 
 def _matching_values(params: PotentialParams, nu: float):
@@ -348,7 +332,7 @@ def dirac_residual(
     dpsi1 = (-f2[0] + 8.0 * f1[0] - 8.0 * b1[0] + b2[0]) / (12.0 * h)
     dpsi2 = (-f2[1] + 8.0 * f1[1] - 8.0 * b1[1] + b2[1]) / (12.0 * h)
     psi1, psi2 = psi(x)
-    mass_term = params.m + potential_at(params, x)
+    mass_term = params.m + params.g * abs(x)
     r1 = dpsi1 + mass_term * psi1 - level.energy * psi2
     r2 = -dpsi2 + mass_term * psi2 - level.energy * psi1
     return r1, r2

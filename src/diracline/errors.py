@@ -9,10 +9,6 @@ class DomainError(DiraclineError):
     """Argument outside the supported domain of an operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation exactly at a pole (gamma at a non-positive integer)."""
-
-
 class NonConvergence(DiraclineError):
     """An iteration failed to converge within its budget."""
 

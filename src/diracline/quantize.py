@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, WindowExhausted
 from .roots import illinois
-from .specfun import hermite, pcf_d, pcf_d_prime
+from .specfun import _hermite_ladder, pcf_d, pcf_d_prime
 
 __all__ = [
     "SignBranch",
@@ -72,7 +72,6 @@ __all__ = [
     "paired_branch",
     "condition_residual",
     "condition_residual_deriv_form",
-    "scan_brackets",
     "refine_root",
     "spectrum",
     "hermite_condition_residual",
@@ -199,57 +198,6 @@ def _phase(nu: float, alpha: float) -> float:
     return math.atan2(pcf_d(nu + 1.0, z0).value, math.sqrt(nu + 1.0) * pcf_d(nu, z0).value)
 
 
-def _scan_function(f, lo: float, hi: float, step: float):
-    """Brackets of sign changes of ``f`` on the closed grid lo, lo+step, ..."""
-    if not (lo < hi):
-        raise DomainError(f"need nu_min < nu_max, got [{lo!r}, {hi!r}]")
-    if not (step > 0.0) or not math.isfinite(step):
-        raise DomainError(f"need step > 0, got {step!r}")
-    n = int(math.floor((hi - lo) / step + 1e-12))
-    brackets = []
-    x_prev = lo
-    try:
-        f_prev = f(x_prev)
-    except Exception as exc:
-        raise type(exc)(f"{exc} (while scanning at nu={x_prev!r})") from exc
-    if f_prev == 0.0:
-        brackets.append(RootBracket(x_prev, x_prev, 0.0, 0.0))
-    for i in range(1, n + 1):
-        x = lo + i * step
-        if x > hi:
-            break
-        try:
-            fx = f(x)
-        except Exception as exc:
-            raise type(exc)(f"{exc} (while scanning at nu={x!r})") from exc
-        if fx == 0.0:
-            brackets.append(RootBracket(x, x, 0.0, 0.0))
-        elif f_prev * fx < 0.0:
-            brackets.append(RootBracket(x_prev, x, f_prev, fx))
-        x_prev, f_prev = x, fx
-    return brackets
-
-
-def scan_brackets(
-    alpha: float,
-    branch: SignBranch,
-    nu_min: float,
-    nu_max: float,
-    step: float,
-) -> list[RootBracket]:
-    """All sign-change brackets of the ratio-form residual on a nu grid.
-
-    Deterministic; exact grid zeros come back as degenerate brackets.  A
-    step wider than the window yields no interior pairs, hence an empty
-    list.
-    """
-    if nu_min <= -1.0:
-        raise DomainError(f"need nu_min > -1, got {nu_min!r}")
-    return _scan_function(
-        lambda nu: condition_residual(nu, alpha, branch), nu_min, nu_max, step
-    )
-
-
 def refine_root(
     bracket: RootBracket,
     alpha: float,
@@ -315,9 +263,11 @@ def hermite_condition_residual(n: int, alpha: float, branch: SignBranch) -> floa
     if n != int(n) or n < 0 or n > 250:
         raise DomainError(f"need integer 0 <= n <= 250, got {n!r}")
     n = int(n)
-    return hermite(n + 1, alpha) - branch.sign * math.sqrt(2.0 * (n + 1)) * hermite(
-        n, alpha
-    )
+    return _hermite_residual(_hermite_ladder(n + 1, alpha), n, branch)
+
+
+def _hermite_residual(ladder: list[float], n: int, branch: SignBranch) -> float:
+    return ladder[n + 1] - branch.sign * math.sqrt(2.0 * (n + 1)) * ladder[n]
 
 
 def hermite_root_table(alpha: float, n_max: int):
@@ -327,22 +277,24 @@ def hermite_root_table(alpha: float, n_max: int):
     (n, residual_plus, residual_minus, is_root).  A residual counts as an
     exact root when it is below 1e-9 of the |H_{n+1}(alpha)| scale; sign
     changes of the rescaled residuals between adjacent n are tallied as a
-    diagnostic (they mark non-integer crossings, not integer roots).
+    diagnostic (they mark non-integer crossings, not integer roots).  All
+    rows share one pass of the Hermite recurrence.
     """
     if n_max < 0 or n_max > 250:
         raise DomainError(f"need 0 <= n_max <= 250, got {n_max!r}")
+    ladder = _hermite_ladder(n_max + 1, alpha)
     rows = []
     root_count = 0
     sign_changes = 0
     prev_scaled = None
     for n in range(n_max + 1):
-        r_plus = hermite_condition_residual(n, alpha, SignBranch.PLUS)
-        r_minus = hermite_condition_residual(n, alpha, SignBranch.MINUS)
-        scale = abs(hermite(n + 1, alpha))
+        r_plus = _hermite_residual(ladder, n, SignBranch.PLUS)
+        r_minus = _hermite_residual(ladder, n, SignBranch.MINUS)
+        scale = abs(ladder[n + 1])
         is_root = abs(r_plus) <= 1e-9 * scale or abs(r_minus) <= 1e-9 * scale
         if is_root:
             root_count += 1
-        norm = scale + math.sqrt(2.0 * (n + 1)) * abs(hermite(n, alpha))
+        norm = scale + math.sqrt(2.0 * (n + 1)) * abs(ladder[n])
         scaled = (r_plus / norm, r_minus / norm) if norm > 0.0 else (0.0, 0.0)
         if prev_scaled is not None:
             for new, old in zip(scaled, prev_scaled):

@@ -1,8 +1,8 @@
 """Real-argument special functions used by the bound-state solver.
 
-Provides gamma, reciprocal gamma, the confluent hypergeometric series
-M(a,b,z), physicists' Hermite polynomials, and the parabolic cylinder
-function D_nu(z) of real order together with its z-derivative.
+Provides the reciprocal gamma function, physicists' Hermite polynomials,
+and the parabolic cylinder function D_nu(z) of real order together with its
+z-derivative.
 
 D_nu(z) solves Weber's equation
 
@@ -21,11 +21,13 @@ surviving series terminates (Gaussian-weighted Hermite polynomials).
 
 The series pair cancels catastrophically for large positive z and large
 orders, so every evaluation carries an honest absolute-error estimate and the
-evaluator switches between four routes: the series, direct large-|z|
-asymptotic expansions, a log-derivative (Riccati) integration inward
-through the monotone tail, and linear Runge-Kutta integration of Weber's
-equation where the solution is oscillatory or dominant.  The route taken
-is reported in ``EvalReport.path``.
+evaluator picks among the series (rerun in ``decimal`` where it cancels),
+direct large-|z| asymptotic expansions, the upward order recurrence from
+seeds of order below 2, and two Runge-Kutta integrations of Weber's
+equation: the log-derivative (Riccati) form inward through the monotone
+tail z > 0, and the linear form outward from z = 0 to z < 0, where the
+solution is oscillatory or dominant.  The route taken is reported in
+``EvalReport.path``.
 """
 
 from __future__ import annotations
@@ -35,16 +37,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, NonConvergence, PoleError
+from .errors import DomainError, NonConvergence
 
 __all__ = [
     "NU_MIN",
     "NU_MAX",
     "Z_MAX",
     "EvalReport",
-    "gamma",
     "rgamma",
-    "kummer_m",
     "hermite",
     "pcf_d",
     "pcf_d_prime",
@@ -53,7 +53,6 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 NU_MIN = -1.0
 NU_MAX = 200.0
@@ -82,27 +81,15 @@ _EST_SAFETY = 10.0
 class EvalReport:
     """Value plus an honest absolute error bound and the route taken.
 
-    ``path`` is one of ``"series"``, ``"asymptotic"``, ``"ode-fallback"``.
+    ``path`` is one of ``"series"`` (the Kummer pair, with any ``decimal``
+    rerun), ``"asymptotic"``, ``"ode-fallback"`` (Riccati inward on the
+    z > 0 tail, linear outward to z < 0).  The order recurrence reports the
+    path of its seed with the larger bound.
     """
 
     value: float
     est_abs_error: float
     path: str
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) for finite real x not at a pole.
-
-    Continuation to x < 0.5 goes through the reflection formula (inside the
-    C library routine); relative error stays below ~1e-14 on |x| <= 170.
-    Raises PoleError at non-positive integers and OverflowError once the
-    result leaves double range (x > 171.62).
-    """
-    if not math.isfinite(x):
-        raise DomainError(f"gamma: argument must be finite, got {x!r}")
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"gamma: pole at {x:g}")
-    return math.gamma(x)
 
 
 def rgamma(x: float) -> float:
@@ -139,7 +126,7 @@ def _gamma_sign(x: float) -> float:
     return 1.0 if math.floor(x) % 2 == 0 else -1.0
 
 
-def kummer_m(a: float, b: float, z: float) -> EvalReport:
+def _kummer_m(a: float, b: float, z: float) -> EvalReport:
     """Confluent hypergeometric M(a, b, z) by direct series summation.
 
     M(a,b,z) = sum_k (a)_k z^k / ((b)_k k!).  The error estimate tracks the
@@ -147,9 +134,9 @@ def kummer_m(a: float, b: float, z: float) -> EvalReport:
     shows up honestly in ``est_abs_error``.
     """
     if b <= 0.0 and b == math.floor(b):
-        raise DomainError(f"kummer_m: series undefined at non-positive integer b={b:g}")
+        raise DomainError(f"_kummer_m: series undefined at non-positive integer b={b:g}")
     if not abs(z) <= _KUMMER_ARG_MAX:
-        raise DomainError(f"kummer_m: |z| <= {_KUMMER_ARG_MAX:g} required, got {z!r}")
+        raise DomainError(f"_kummer_m: |z| <= {_KUMMER_ARG_MAX:g} required, got {z!r}")
     term = 1.0
     total = 1.0
     abs_sum = 1.0
@@ -174,30 +161,34 @@ def kummer_m(a: float, b: float, z: float) -> EvalReport:
             small_streak = 0
     else:
         raise NonConvergence(
-            f"kummer_m({a:g}, {b:g}, {z:g}): no convergence in {_KUMMER_MAX_TERMS} terms"
+            f"_kummer_m({a:g}, {b:g}, {z:g}): no convergence in {_KUMMER_MAX_TERMS} terms"
         )
     est = _EPS * (6.0 * weighted_abs_sum + 8.0 * abs_sum + abs(total)) + abs(term)
     return EvalReport(total, est, "series")
 
 
 def hermite(n: int, x: float) -> float:
-    """Physicists' Hermite polynomial H_n(x).
-
-    Uses the stable three-term recurrence H_{k+1} = 2x H_k - 2k H_{k-1};
-    the closed-form coefficient sum overflows near n ~ 30 and is avoided.
-    """
+    """Physicists' Hermite polynomial H_n(x) (see ``_hermite_ladder``)."""
     if n != int(n) or n < 0 or n > 300:
         raise DomainError(f"hermite: need integer 0 <= n <= 300, got {n!r}")
-    n = int(n)
-    if n == 0:
-        return 1.0
-    h_prev = 1.0
-    h = 2.0 * x
-    for k in range(1, n):
-        h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
-    if not math.isfinite(h):
-        raise OverflowError(f"hermite({n}, {x:g}) exceeds double range")
-    return h
+    return _hermite_ladder(int(n), x)[-1]
+
+
+def _hermite_ladder(n_max: int, x: float) -> list[float]:
+    """[H_0(x), ..., H_{n_max}(x)] in one pass of the stable three-term
+    recurrence H_{k+1} = 2x H_k - 2k H_{k-1}; the closed-form coefficient
+    sum overflows near n ~ 30 and is avoided.
+
+    Raises OverflowError naming the first degree that leaves double range.
+    """
+    ladder = [1.0]
+    for k in range(n_max):
+        # at k = 0 the second term is 0 * H_0, leaving H_1 = 2x
+        h = 2.0 * x * ladder[k] - 2.0 * k * ladder[k - 1]
+        if not math.isfinite(h):
+            raise OverflowError(f"hermite({k + 1}, {x:g}) exceeds double range")
+        ladder.append(h)
+    return ladder
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +252,16 @@ def _kummer_decimal(a: float, b: float, x: float):
 
 
 def _kummer_best(a: float, b: float, x: float):
-    """M(a, b, x) by the least-cancelling of: the direct series, the Kummer
-    transform e^x M(b-a, b, -x), and a widened-precision rerun; (value, est)."""
-    direct = kummer_m(a, b, x)
-    best_val, best_est = direct.value, direct.est_abs_error
-    if best_est <= 64.0 * _EPS * abs(best_val):
-        return best_val, best_est
-    flipped = kummer_m(b - a, b, -x)
-    ex = math.exp(x)
-    value = ex * flipped.value
-    est = ex * flipped.est_abs_error + 4.0 * _EPS * abs(value)
-    if est < best_est:
-        best_val, best_est = value, est
-    if best_est > 64.0 * _EPS * abs(best_val):
-        value, est = _kummer_decimal(a, b, x)
-        if est < best_est:
-            best_val, best_est = value, est
-    return best_val, best_est
+    """M(a, b, x) by the direct series when it is clean, else by whichever
+    of the series and a widened-precision rerun has the smaller bound;
+    (value, est)."""
+    direct = _kummer_m(a, b, x)
+    if direct.est_abs_error <= 64.0 * _EPS * abs(direct.value):
+        return direct.value, direct.est_abs_error
+    value, est = _kummer_decimal(a, b, x)
+    if est < direct.est_abs_error:
+        return value, est
+    return direct.value, direct.est_abs_error
 
 
 def _series_pair(nu: float, z: float):
@@ -520,22 +504,6 @@ def _scaled_value(y: float, log_scale: float, context: str) -> float:
     return math.copysign(math.exp(ln), y)
 
 
-def _pcf_ode_inward_linear(nu: float, z: float):
-    """Linear Weber integration inward from the asymptotic zone to z >= 0."""
-    z0, ln0, w0, tr = _asym_start(nu, z)
-    ctx = f"pcf_d({nu:g}, {z:g})"
-
-    def sweep(c):
-        y, w, acc = _integrate_weber(nu, z0, z, 1.0, w0, c)
-        return _scaled_value(y, ln0 + acc, ctx)
-
-    v_c = sweep(_ODE_PHASE_STEP * 2.0)
-    v_f = sweep(_ODE_PHASE_STEP)
-    value = v_f + (v_f - v_c) / 15.0
-    est = abs(v_f - v_c) + abs(value) * (tr + _log_arg_eps(value))
-    return value, est
-
-
 def _pcf_ode_outward_neg(nu: float, z: float):
     """Linear Weber integration from z=0 closed-form data out to z < 0.
 
@@ -621,17 +589,15 @@ def _pcf_d_impl(nu: float, z: float) -> EvalReport:
     ode_gate = 1e-10 if (abs(z) <= 8.0 and nu <= 60.0) else 2e-9
     best = min(candidates, key=lambda r: r.est_abs_error) if candidates else None
     if z != 0.0 and (best is None or best.est_abs_error > ode_gate * abs(best.value)):
-        if z > 0.0 and z >= z_turn + 2.0:
+        if z >= z_turn + 2.0:
             value, est = _pcf_ode_inward_riccati(nu, z)
-            candidates.append(EvalReport(value, est, "ode-fallback"))
-        elif z > 0.0 and nu < 3.0:
-            value, est = _pcf_ode_inward_linear(nu, z)
             candidates.append(EvalReport(value, est, "ode-fallback"))
         elif z < 0.0:
             value, est = _pcf_ode_outward_neg(nu, z)
             candidates.append(EvalReport(value, est, "ode-fallback"))
-        # z > 0 oscillatory with nu >= 3: the order recurrence is already
-        # the accurate terminal route; no integration improves on it
+        # z > 0 oscillatory: the series (nu < 3, so z < 5.74 keeps it in
+        # range) or the order recurrence (nu >= 3) is the terminal route; the
+        # series is only loose at zeros of D_nu, where no integration beats it
     if not candidates:
         # z == 0 always returns through the series fast path.
         raise NonConvergence(f"no evaluation route for pcf_d({nu:g}, {z:g})")

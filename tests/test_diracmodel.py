@@ -24,7 +24,7 @@ def fake_root(nu, branch=q.SignBranch.PLUS):
 
 
 # ---------------------------------------------------------------------------
-# parameters, potential, coordinates, energies
+# parameters, coordinates, energies
 
 def test_params_validation():
     with pytest.raises(DomainError):
@@ -33,12 +33,6 @@ def test_params_validation():
         dm.PotentialParams(m=-0.5, g=1.0)
     p = dm.PotentialParams(m=1.0, g=2.0)
     assert p.alpha == pytest.approx(1.0 / SQRT_2, rel=1e-15)
-
-
-def test_potential_at():
-    assert dm.potential_at(dm.PotentialParams(m=0.0, g=1.0), -2.0) == 2.0
-    assert dm.potential_at(dm.PotentialParams(m=1.0, g=0.5), 0.0) == 0.0
-    assert dm.potential_at(dm.PotentialParams(m=1.0, g=2.0), 3.0) == 6.0
 
 
 def test_coordinates():
@@ -80,17 +74,6 @@ def test_energy_squared_invariant(nu, g):
     p = dm.PotentialParams(m=0.0, g=g)
     level = dm.energy_from_nu(p, nu)
     assert level.energy ** 2 == pytest.approx(2.0 * g * (nu + 1.0), rel=1e-12, abs=1e-12)
-
-
-def test_energy_integer_case():
-    assert dm.energy_integer_case(1.0, 0) == pytest.approx(SQRT_2, rel=1e-15)
-    assert dm.energy_integer_case(1.0, 3) == pytest.approx(2.0 * SQRT_2, rel=1e-15)
-    assert dm.energy_integer_case(2.0, 0) == pytest.approx(2.0, rel=1e-15)
-    p = dm.PotentialParams(m=0.0, g=1.7)
-    for n in range(4):
-        assert dm.energy_integer_case(1.7, n) == pytest.approx(
-            dm.energy_from_nu(p, float(n)).energy, rel=1e-14
-        )
 
 
 # ---------------------------------------------------------------------------

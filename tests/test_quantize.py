@@ -13,8 +13,39 @@ from _oracles import bisect, massless_ratio_residual
 ALPHA_STAR = 1.0 / math.sqrt(2.0)
 PLUS = q.SignBranch.PLUS
 MINUS = q.SignBranch.MINUS
-# grid step of the scan_brackets references
+# grid step of the _scan_brackets references
 SCAN_STEP = 0.01
+
+
+def _scan_brackets(alpha, branch, nu_min, nu_max, step):
+    """Sign-change brackets of the ratio-form residual on the closed grid
+    nu_min, nu_min + step, ... <= nu_max: the grid scan that the phase
+    march of ``spectrum`` replaced, kept as a reference.  Exact grid zeros
+    come back as degenerate brackets; a step wider than the window gives
+    none."""
+
+    def f(nu):
+        try:
+            return q.condition_residual(nu, alpha, branch)
+        except Exception as exc:
+            raise type(exc)(f"{exc} (while scanning at nu={nu!r})") from exc
+
+    n = int(math.floor((nu_max - nu_min) / step + 1e-12))
+    brackets = []
+    x_prev, f_prev = nu_min, f(nu_min)
+    if f_prev == 0.0:
+        brackets.append(q.RootBracket(x_prev, x_prev, 0.0, 0.0))
+    for i in range(1, n + 1):
+        x = nu_min + i * step
+        if x > nu_max:
+            break
+        fx = f(x)
+        if fx == 0.0:
+            brackets.append(q.RootBracket(x, x, 0.0, 0.0))
+        elif f_prev * fx < 0.0:
+            brackets.append(q.RootBracket(x_prev, x, f_prev, fx))
+        x_prev, f_prev = x, fx
+    return brackets
 
 
 def test_residual_exact_identity_at_nu_zero():
@@ -76,13 +107,13 @@ def test_residual_domain_errors():
 # bracketing
 
 def test_scan_brackets_alpha_star_plus():
-    brackets = q.scan_brackets(ALPHA_STAR, PLUS, -0.999, 5.0, 0.01)
+    brackets = _scan_brackets(ALPHA_STAR, PLUS, -0.999, 5.0, 0.01)
     assert len(brackets) == 2
     assert brackets[0].nu_lo <= 0.0 <= brackets[0].nu_hi
     assert brackets[1].nu_lo <= 2.681 <= brackets[1].nu_hi
     # the third branch root sits just above 5; a slightly larger window
     # picks it up
-    wider = q.scan_brackets(ALPHA_STAR, PLUS, -0.999, 5.2, 0.01)
+    wider = _scan_brackets(ALPHA_STAR, PLUS, -0.999, 5.2, 0.01)
     assert len(wider) == 3
 
 
@@ -101,7 +132,7 @@ def test_scan_brackets_against_massless_gamma_oracle():
                 )
         found = [
             q.refine_root(b, 0.0, branch)
-            for b in q.scan_brackets(0.0, branch, -0.999, grid[-1], 0.01)
+            for b in _scan_brackets(0.0, branch, -0.999, grid[-1], 0.01)
         ]
         assert len(found) == len(expected)
         for root, ref in zip(found, expected):
@@ -109,16 +140,7 @@ def test_scan_brackets_against_massless_gamma_oracle():
 
 
 def test_scan_step_wider_than_window_is_empty():
-    assert q.scan_brackets(ALPHA_STAR, PLUS, 0.5, 1.0, 2.0) == []
-
-
-def test_scan_brackets_validation():
-    with pytest.raises(DomainError):
-        q.scan_brackets(ALPHA_STAR, PLUS, 2.0, 1.0, 0.1)
-    with pytest.raises(DomainError):
-        q.scan_brackets(ALPHA_STAR, PLUS, 0.0, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        q.scan_brackets(ALPHA_STAR, PLUS, -1.0, 1.0, 0.1)
+    assert _scan_brackets(ALPHA_STAR, PLUS, 0.5, 1.0, 2.0) == []
 
 
 def test_midpoint_residual_guard_on_brackets():
@@ -126,7 +148,7 @@ def test_midpoint_residual_guard_on_brackets():
     # residual stays within 10x the endpoint magnitudes
     for alpha in (ALPHA_STAR, 2.0):
         for branch in (PLUS, MINUS):
-            for b in q.scan_brackets(alpha, branch, -0.999, 8.0, 0.01):
+            for b in _scan_brackets(alpha, branch, -0.999, 8.0, 0.01):
                 mid = q.condition_residual(0.5 * (b.nu_lo + b.nu_hi), alpha, branch)
                 assert abs(mid) <= 10.0 * max(abs(b.f_lo), abs(b.f_hi))
 
@@ -136,7 +158,7 @@ def test_midpoint_residual_guard_on_brackets():
 
 def test_refine_root_at_analytic_zero():
     (bracket,) = [
-        b for b in q.scan_brackets(ALPHA_STAR, PLUS, -0.5, 0.5, 0.01)
+        b for b in _scan_brackets(ALPHA_STAR, PLUS, -0.5, 0.5, 0.01)
     ]
     root = q.refine_root(bracket, ALPHA_STAR, PLUS)
     assert abs(root.nu) <= 1e-10
@@ -144,10 +166,10 @@ def test_refine_root_at_analytic_zero():
 
 
 def test_refine_root_published_values():
-    brackets = q.scan_brackets(ALPHA_STAR, PLUS, 2.0, 3.0, 0.01)
+    brackets = _scan_brackets(ALPHA_STAR, PLUS, 2.0, 3.0, 0.01)
     root = q.refine_root(brackets[0], ALPHA_STAR, PLUS)
     assert root.nu == pytest.approx(2.681, abs=5e-3)
-    brackets = q.scan_brackets(ALPHA_STAR, MINUS, 3.5, 4.5, 0.01)
+    brackets = _scan_brackets(ALPHA_STAR, MINUS, 3.5, 4.5, 0.01)
     root = q.refine_root(brackets[0], ALPHA_STAR, MINUS)
     assert root.nu == pytest.approx(3.914, abs=5e-3)
 
@@ -239,7 +261,7 @@ def test_nu_floor_below_shooting_ground_state(alpha):
 def test_no_brackets_below_nu_floor(alpha):
     nu_floor = q._nu_floor(alpha)
     for branch in (PLUS, MINUS):
-        brackets = q.scan_brackets(alpha, branch, q.DEFAULT_NU_MIN, nu_floor, SCAN_STEP)
+        brackets = _scan_brackets(alpha, branch, q.DEFAULT_NU_MIN, nu_floor, SCAN_STEP)
         assert brackets == []
 
 
@@ -254,7 +276,7 @@ def _unfloored_spectrum(alpha, n_levels, step, nu_max):
         def f(nu, branch=branch):
             return q.condition_residual(nu, alpha, branch)
 
-        for b in q.scan_brackets(alpha, branch, q.DEFAULT_NU_MIN, nu_max, step):
+        for b in _scan_brackets(alpha, branch, q.DEFAULT_NU_MIN, nu_max, step):
             nu = b.nu_lo if b.degenerate else bisect(f, b.nu_lo, b.nu_hi)
             roots.append((nu, branch, abs(f(nu))))
     roots.sort(key=lambda r: r[0])
@@ -392,6 +414,23 @@ def test_hermite_root_table_massless_has_no_roots():
     rows, count, _ = q.hermite_root_table(0.0, 30)
     assert count == 0
     assert not any(r[3] for r in rows)
+
+
+def test_hermite_root_table_runs_the_recurrence_once(monkeypatch):
+    # every row reads H_n and H_{n+1} off one shared pass of the recurrence
+    import diracline.specfun as sf
+
+    passes, real = [], sf._hermite_ladder
+
+    def counting(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sf, "_hermite_ladder", counting)
+    monkeypatch.setattr(q, "_hermite_ladder", counting)
+    rows, count, _ = q.hermite_root_table(ALPHA_STAR, 250)
+    assert len(rows) == 251 and count == 1
+    assert passes == [(251, ALPHA_STAR)]
 
 
 def test_hermite_condition_validation():

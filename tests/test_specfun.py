@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracline import specfun as sf
-from diracline.errors import DomainError, PoleError
+from diracline.errors import DomainError
 
 from _oracles import rk4_pcfd
 
@@ -14,31 +14,7 @@ SQRT_2 = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
-# gamma / rgamma
-
-def test_gamma_known_values():
-    assert sf.gamma(0.5) == pytest.approx(SQRT_PI, rel=1e-15)
-    assert sf.gamma(5.0) == pytest.approx(24.0, rel=1e-15)
-    assert sf.gamma(-0.5) == pytest.approx(-2.0 * SQRT_PI, rel=1e-14)
-
-
-def test_gamma_against_exact_factorials():
-    # integer factorials are exact in bignum arithmetic
-    for n in (3, 10, 50, 120, 170):
-        assert sf.gamma(float(n)) == pytest.approx(
-            float(math.factorial(n - 1)), rel=1e-13
-        )
-
-
-def test_gamma_poles_and_overflow():
-    for x in (0.0, -1.0, -2.0, -37.0):
-        with pytest.raises(PoleError):
-            sf.gamma(x)
-    with pytest.raises(OverflowError):
-        sf.gamma(172.0)
-    with pytest.raises(DomainError):
-        sf.gamma(math.inf)
-
+# rgamma
 
 def test_rgamma_zeros_and_values():
     assert sf.rgamma(0.0) == 0.0
@@ -54,26 +30,26 @@ def test_rgamma_zeros_and_values():
 def test_gamma_rgamma_inverse(x):
     if x <= 0.5 and abs(x - round(x)) < 1e-3:
         return  # too close to a pole for the product check
-    assert sf.gamma(x) * sf.rgamma(x) == pytest.approx(1.0, rel=1e-12)
+    assert math.gamma(x) * sf.rgamma(x) == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# kummer_m
+# _kummer_m, the series behind pcf_d
 
 def test_kummer_examples():
-    r = sf.kummer_m(2.0, 2.0, 1.0)
+    r = sf._kummer_m(2.0, 2.0, 1.0)
     assert r.value == pytest.approx(math.e, rel=1e-13)
-    assert sf.kummer_m(1.3, 0.7, 0.0).value == 1.0
-    assert sf.kummer_m(-1.0, 0.5, 3.0).value == pytest.approx(-5.0, rel=1e-14)
+    assert sf._kummer_m(1.3, 0.7, 0.0).value == 1.0
+    assert sf._kummer_m(-1.0, 0.5, 3.0).value == pytest.approx(-5.0, rel=1e-14)
 
 
 def test_kummer_domain_errors():
     with pytest.raises(DomainError):
-        sf.kummer_m(1.0, 0.0, 1.0)
+        sf._kummer_m(1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
-        sf.kummer_m(1.0, -3.0, 1.0)
+        sf._kummer_m(1.0, -3.0, 1.0)
     with pytest.raises(DomainError):
-        sf.kummer_m(1.0, 1.0, 401.0)
+        sf._kummer_m(1.0, 1.0, 401.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,14 +58,14 @@ def test_kummer_domain_errors():
     st.floats(min_value=-30.0, max_value=30.0),
 )
 def test_kummer_exponential_identity(a, z):
-    r = sf.kummer_m(a, a, z)
+    r = sf._kummer_m(a, a, z)
     expect = math.exp(z)
     assert abs(r.value - expect) <= max(r.est_abs_error, 1e-13 * abs(expect))
 
 
 def test_kummer_cancellation_is_reported():
     # a < 0 with large positive argument cancels badly; est must say so
-    r = sf.kummer_m(-30.5, 0.5, 60.0)
+    r = sf._kummer_m(-30.5, 0.5, 60.0)
     assert r.est_abs_error > 1e-6 * abs(r.value)
 
 
@@ -139,8 +115,8 @@ def test_hermite_domain_and_overflow():
 def test_pcf_d_closed_forms():
     assert sf.pcf_d(0.0, 1.0).value == pytest.approx(math.exp(-0.25), rel=1e-14)
     assert sf.pcf_d(1.0, 1.0).value == pytest.approx(math.exp(-0.25), rel=1e-14)
-    # D_nu(0) = 2^{nu/2} sqrt(pi) / Gamma((1-nu)/2), frozen via the gamma op
-    closed = 2.0 ** 0.25 * SQRT_PI / sf.gamma(0.25)
+    # D_nu(0) = 2^{nu/2} sqrt(pi) / Gamma((1-nu)/2)
+    closed = 2.0 ** 0.25 * SQRT_PI / math.gamma(0.25)
     assert sf.pcf_d(0.5, 0.0).value == pytest.approx(closed, rel=1e-13)
     assert sf.pcf_d(0.5, 0.0).value == pytest.approx(0.58136831701911858, rel=1e-12)
 
@@ -158,6 +134,54 @@ def test_pcf_d_integer_hermite_reduction_example():
 def test_pcf_d_against_ode_oracle(nu, z):
     ref = rk4_pcfd(nu, z)
     assert sf.pcf_d(nu, z).value == pytest.approx(ref, rel=2e-9)
+
+
+def _count_calls(monkeypatch, name):
+    """Record the calls of specfun's ``name``; the pcf_d cache is emptied so
+    every evaluation runs."""
+    calls, real = [], getattr(sf, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sf, name, counting)
+    sf._pcf_d_impl.cache_clear()
+    return calls
+
+
+def test_pcf_d_at_exact_zero_stays_on_the_series(monkeypatch):
+    # D_2(z) = (z^2 - 1) e^{-z^2/4} vanishes at z = 1; the series bound is
+    # loose relative to a zero, but no integration can beat it there
+    steps = _count_calls(monkeypatch, "_integrate_weber")
+    r = sf.pcf_d(2.0, 1.0)
+    assert r.path == "series"
+    assert abs(r.value) <= r.est_abs_error
+    assert steps == []
+
+
+def test_cancelling_series_reruns_in_decimal_only(monkeypatch):
+    # both Kummer series cancel at z = 5; each is summed once in doubles
+    # before its decimal rerun
+    sums = _count_calls(monkeypatch, "_kummer_m")
+    reruns = _count_calls(monkeypatch, "_kummer_decimal")
+    sf.pcf_d(2.5, 5.0)
+    assert len(sums) == 2
+    assert len(reruns) == 2
+
+
+def test_pcf_d_bound_is_honest_at_zeros_of_d_nu():
+    # where the series is loosest: at and next to the positive zero of
+    # D_nu, nu in (1, 3), which lies in (0, 2)
+    mp = pytest.importorskip("mpmath")
+    for nu in (1.2, 1.5, 1.8, 2.2, 2.5, 2.8):
+        zero = float(
+            mp.findroot(lambda t: mp.pcfd(nu, t, zeroprec=500), (0.0, 2.0), solver="anderson")
+        )
+        for offset in (0.0, 1e-12, -1e-12, 1e-7, -1e-7):
+            z = zero + offset
+            r = sf.pcf_d(nu, z)
+            assert abs(r.value - float(mp.pcfd(nu, z))) <= r.est_abs_error, (nu, z)
 
 
 def test_pcf_d_prime_values():
